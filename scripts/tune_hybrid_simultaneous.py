@@ -1,51 +1,44 @@
 #!/usr/bin/env python3
 """Grid sweep for the simultaneous-control hybrid channel pair.
 
-Balances the upright pendulum while the cart tracks a 0.3 m step. The
-angle channel's crisp PD does the stabilizing; the sweep walks the
-position channel and the two output scales. Fast rows buy speed with
-larger pendulum excursions; the shipped defaults (angle channel 5/0/1
-scale 8 crisp 40/0/4, position channel 3.5/0/3 scale 6 crisp 1.5/0/3,
-rates 0.001) keep theta_max modest instead of taking the top row.
+Runs the built-in ``simultaneous-hybrid-nominal`` scenario (balance the
+upright pendulum while the cart tracks a 0.3 m step) with each setting on
+the grid. The angle channel's crisp PD does the stabilizing; the sweep walks
+the position channel and the two output scales. Fast rows buy speed with
+larger pendulum excursions; the scenario's defaults keep theta_max modest
+instead of taking the top row.
 """
 import argparse
+import dataclasses
 import itertools
 import math
 
-from cartpend.classic import PidGains
-from cartpend.fuzzy import standard_fuzzy_system
-from cartpend.hybrid import (
-    AdaptiveParams,
-    HybridChannel,
-    hybrid_simultaneous_topology,
-)
 from cartpend.metrics import overshoot_pct, settling_time
-from cartpend.plant import PlantParams
-from cartpend.sim import ReferenceSpec, SimConfig, SimulationFault, run_closed_loop
+from cartpend.scenario import builtin_scenarios, run_scenario
+from cartpend.sim import SimulationFault
 
-
-def _channel(kp, kd, output_scale, crisp, gamma):
-    adaptive = AdaptiveParams(gamma_p=gamma, gamma_i=gamma, gamma_d=gamma,
-                              gamma_prime=gamma)
-    return HybridChannel(PidGains(kp, 0.0, kd, 0.01), crisp,
-                         standard_fuzzy_system(1.0, 1.0, output_scale), adaptive)
+BASE = builtin_scenarios()["simultaneous-hybrid-nominal"]
 
 
 def evaluate(pos_kp, pos_kd, pos_scale, angle_scale, gamma, duration_s):
-    angle = _channel(5.0, 1.0, angle_scale, PidGains(40.0, 0.0, 4.0, 0.01), gamma)
-    pos = _channel(pos_kp, pos_kd, pos_scale, PidGains(1.5, 0.0, 3.0, 0.01), gamma)
-    cfg = SimConfig(dt_s=1e-3, duration_s=duration_s,
-                    reference=ReferenceSpec(amplitude=0.3, step_time_s=0.0))
-    traj = run_closed_loop(PlantParams(), hybrid_simultaneous_topology(angle, pos), cfg)
+    s = dataclasses.replace(
+        BASE,
+        controller_config=dict(BASE.controller_config, position_channel_kp=pos_kp,
+                               position_channel_kd=pos_kd, position_output_scale=pos_scale,
+                               angle_output_scale=angle_scale, gamma=gamma),
+        sim=dataclasses.replace(BASE.sim, duration_s=duration_s))
+    traj = run_scenario(s)
     x = traj.states[:, 2]
+    reference = BASE.sim.reference.amplitude
     theta_max = float(abs(traj.states[:, 0]).max())
-    return (settling_time(traj.times_s, x, 0.3), overshoot_pct(x, 0.3), theta_max)
+    return (settling_time(traj.times_s, x, reference), overshoot_pct(x, reference),
+            theta_max)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--duration", type=float, default=40.0)
-    ap.add_argument("--gamma", type=float, default=0.001)
+    ap.add_argument("--duration", type=float, default=BASE.sim.duration_s)
+    ap.add_argument("--gamma", type=float, default=BASE.controller_config["gamma"])
     ap.add_argument("--top", type=int, default=10)
     args = ap.parse_args()
 

@@ -33,7 +33,6 @@ from .hybrid import (
     AdaptiveParams,
     HybridChannel,
     ReferenceModel,
-    hybrid_control_step,
     hybrid_position_topology,
     hybrid_simultaneous_topology,
     mit_rule_update,
@@ -64,6 +63,7 @@ from .scenario import (
     build_controller,
     builtin_scenarios,
     effective_plant,
+    lqr_design,
     parse_scenario,
     run_scenario,
     serialize_scenario,

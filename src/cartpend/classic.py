@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,9 @@ class PidGains:
     filter_tau_s: float = 0.01
 
     def __post_init__(self):
+        for name in ("kp", "ki", "kd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (math.isfinite(self.filter_tau_s) and self.filter_tau_s >= 0.0):
             raise ValueError(f"filter_tau_s must be >= 0, got {self.filter_tau_s!r}")
 
@@ -187,11 +190,12 @@ def solve_care(ss: StateSpace, weights: LqrWeights, tol: float = 1e-9,
 
 @dataclass(frozen=True, eq=False)
 class LqrController:
-    """Full-state feedback ``u = n_scale * r - k_gain . x``."""
+    """Full-state feedback ``u = n_scale * r - k_gain . x`` and the CARE solution behind it."""
 
     k_gain: np.ndarray
     n_scale: float
     tracked_output_index: int
+    riccati_solution: Optional[np.ndarray] = None
 
 
 def lqr_synthesize(ss: StateSpace, weights: LqrWeights,
@@ -211,7 +215,7 @@ def lqr_synthesize(ss: StateSpace, weights: LqrWeights,
     if dc == 0.0:
         raise ValueError("tracked output has no DC response; cannot scale reference")
     return LqrController(k_gain=k, n_scale=-1.0 / dc,
-                         tracked_output_index=tracked_output_index)
+                         tracked_output_index=tracked_output_index, riccati_solution=p)
 
 
 def lqr_control(ctrl: LqrController, reference: float, state) -> float:
@@ -275,9 +279,9 @@ class _CascadeLoop:
 
 
 def pid_position_topology(
-        position_gains: PidGains = PidGains(0.6, 16.0, 10.0, 0.01),
-        velocity_gains: PidGains = PidGains(10.0, 8.9, 0.009, 0.01)) -> _CascadeLoop:
-    """Cart-position cascade for the hanging pendulum."""
+        position_gains: PidGains = PidGains(1.2, 0.5, 0.3),
+        velocity_gains: PidGains = PidGains(8.0, 2.0, 0.0)) -> _CascadeLoop:
+    """Cart-position cascade for the hanging pendulum; defaults of ``pid-position``."""
     return _CascadeLoop(position_gains, velocity_gains)
 
 
@@ -310,7 +314,7 @@ class _SimultaneousLoop:
 
 
 def pid_simultaneous_topology(
-        angle_gains: PidGains = PidGains(6.9, 0.009, 1.4, 0.01),
-        position_gains: PidGains = PidGains(1.0, 18.0, 1.0, 0.01)) -> _SimultaneousLoop:
-    """Balance-and-track loop pair for the upright pendulum."""
+        angle_gains: PidGains = PidGains(30.0, 0.1, 4.0),
+        position_gains: PidGains = PidGains(1.8, 0.5, 3.0)) -> _SimultaneousLoop:
+    """Balance-and-track pair for the upright pendulum; defaults of ``pid-simultaneous``."""
     return _SimultaneousLoop(angle_gains, position_gains)

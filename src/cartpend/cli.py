@@ -8,7 +8,9 @@ Verbs:
 
 ``run`` writes one ``<scenario>.csv`` per config plus ``report.txt`` and
 ``report.csv`` into ``--out`` (or ``$CARTPEND_OUT_DIR``, or ``./out``).
-Exit codes: 0 success, 1 a simulation diverged, 2 bad input.
+Exit codes: 0 success, 1 a simulation diverged, 2 bad input. Other runs
+still finish after a divergence or a controller setting that cannot be
+built.
 """
 from __future__ import annotations
 
@@ -21,11 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classic import LqrWeights, lqr_synthesize, solve_care
 from .metrics import overshoot_pct, settling_time, steady_state_error, summarize
-from .plant import linearize_at
 from .repro import run_comparison
-from .scenario import ConfigError, parse_scenario, run_scenario
+from .scenario import ConfigError, lqr_design, parse_scenario, run_scenario
 from .sim import SimulationFault, Trajectory
 
 
@@ -77,20 +77,30 @@ def _cmd_run(args) -> int:
         if args.seed is not None:
             s = dataclasses.replace(s, sim=dataclasses.replace(s.sim, seed=args.seed))
         scenarios.append(s)
+    names = [s.name for s in scenarios]
+    duplicate = next((name for name in names if names.count(name) > 1), None)
+    if duplicate is not None:
+        print(f"error: [scenario] name {duplicate!r} is used by more than one config",
+              file=sys.stderr)
+        return 2
 
     out_dir = Path(args.out or os.environ.get("CARTPEND_OUT_DIR") or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = []
-    diverged = []
+    status = 0
     for s in scenarios:
         try:
             traj = run_scenario(s)
+        except ConfigError as exc:
+            print(f"error: scenario {s.name}: {exc}", file=sys.stderr)
+            status = 2
+            continue
         except SimulationFault as fault:
             print(f"error: scenario {s.name} diverged at step {fault.step_index}; "
                   f"partial trajectory kept", file=sys.stderr)
             (out_dir / f"{s.name}.csv").write_text(fault.trajectory.to_csv_text())
-            diverged.append(s.name)
+            status = max(status, 1)
             continue
         (out_dir / f"{s.name}.csv").write_text(traj.to_csv_text())
         reports.append(summarize([(s.controller_kind, traj)], s.name))
@@ -102,7 +112,7 @@ def _cmd_run(args) -> int:
         csv_lines.extend(r.to_csv().strip().splitlines()[1:])
     (out_dir / "report.csv").write_text("\n".join(csv_lines) + "\n")
     print(report_text, end="")
-    return 1 if diverged else 0
+    return status
 
 
 def _cmd_analyze(args) -> int:
@@ -135,18 +145,16 @@ def _cmd_lqr_gain(args) -> int:
         print(f"error: {args.config}: lqr-gain needs an lqr controller, "
               f"got {s.controller_kind!r}", file=sys.stderr)
         return 2
-    cc = s.controller_config
-    weights = LqrWeights(q=np.diag([cc["q_theta"], cc["q_theta_dot"],
-                                    cc["q_x"], cc["q_x_dot"]]), r=cc["r"])
-    theta_e = 0.0 if cc["operating_point"] == "upright" else math.pi
-    ss = linearize_at(s.plant, theta_e)
-    p = solve_care(ss, weights)
-    ctrl = lqr_synthesize(ss, weights, tracked_output_index=2)
-    print(f"operating point: {cc['operating_point']}")
+    try:
+        ctrl = lqr_design(s)
+    except ValueError as exc:
+        print(f"error: {args.config}: [controller] {exc}", file=sys.stderr)
+        return 2
+    print(f"operating point: {s.controller_config['operating_point']}")
     print("K =", np.array2string(ctrl.k_gain, precision=6, suppress_small=True))
     print(f"N = {ctrl.n_scale:.6f}")
     print("P =")
-    print(np.array2string(p, precision=6, suppress_small=True))
+    print(np.array2string(ctrl.riccati_solution, precision=6, suppress_small=True))
     return 0
 
 

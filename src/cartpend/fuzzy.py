@@ -92,6 +92,9 @@ def term_ladder(peaks) -> Tuple[MembershipFunction, ...]:
     return tuple(terms)
 
 
+STANDARD_PEAKS = tuple((k - 3) / 3.0 for k in range(7))
+
+
 def ladder_rule_table(n: int) -> Tuple[Tuple[int, ...], ...]:
     half = (n - 1) // 2
     return tuple(tuple(min(max(i + j - half, 0), n - 1) for j in range(n)) for i in range(n))
@@ -100,12 +103,11 @@ def ladder_rule_table(n: int) -> Tuple[Tuple[int, ...], ...]:
 def standard_fuzzy_system(input1_scale: float = 1.0, input2_scale: float = 1.0,
                           output_scale: float = 1.0) -> FuzzySystem:
     """The seven-term odd-symmetric system used by the hybrid channels."""
-    peaks = tuple((k - 3) / 3.0 for k in range(7))
-    terms = term_ladder(peaks)
+    terms = term_ladder(STANDARD_PEAKS)
     return FuzzySystem(
         input1_terms=terms,
         input2_terms=terms,
-        output_centers=peaks,
+        output_centers=STANDARD_PEAKS,
         rule_table=ladder_rule_table(7),
         input1_scale=input1_scale,
         input2_scale=input2_scale,

@@ -123,7 +123,8 @@ class HybridChannel:
 
     ``step(r, y, edot, dt)`` takes the measured output and its rate (the
     crisp derivative acts on the measured rate, not a difference of errors,
-    so reference steps do not kick it).
+    so reference steps do not kick it). The scenario schema reads its
+    ``safety_bound`` and reference-model defaults from this signature.
     """
 
     def __init__(self, channel_gains: PidGains, crisp_gains: PidGains,
@@ -196,12 +197,6 @@ class HybridChannel:
         c = self.crisp_gains
         self._steps += 1
         return u_fuzzy + c.kp * e + c.ki * self._error_integral + c.kd * edot
-
-
-def hybrid_control_step(channel: HybridChannel, r: float, y: float, edot: float,
-                        dt_s: float) -> float:
-    """Function form of ``HybridChannel.step``."""
-    return channel.step(r, y, edot, dt_s)
 
 
 class _HybridPositionLoop:

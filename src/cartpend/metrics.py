@@ -23,9 +23,9 @@ def settling_time(times_s, values, reference: float,
     """Time after which |value - reference| stays inside the band.
 
     The band is ``band_fraction * |reference|``, or ``band_fraction`` as an
-    absolute width when the reference is zero. Returns ``times_s[0]`` offset
-    zero when the signal never leaves the band and ``inf`` when the final
-    sample is still outside.
+    absolute width when the reference is zero. Returns ``0.0`` when the
+    signal never leaves the band and ``inf`` when the final sample is still
+    outside.
     """
     times_s = np.asarray(times_s, dtype=float)
     values = np.asarray(values, dtype=float)

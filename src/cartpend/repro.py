@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classic import LqrWeights, lqr_synthesize
 from .metrics import settling_time, steady_state_error
-from .plant import PlantParams, linearize_at
-from .scenario import builtin_scenarios, run_scenario
+from .scenario import builtin_scenarios, lqr_design, run_scenario
 
 PUBLISHED_GAIN = (2.0960, -1.2221, 12.3828, 12.7813)
 
@@ -90,9 +88,8 @@ def collect(progress=None) -> list:
 
 
 def gain_comparison() -> tuple:
-    """(published gain, gain synthesized for the hanging operating point)."""
-    ss = linearize_at(PlantParams(), math.pi)
-    ctrl = lqr_synthesize(ss, LqrWeights(), tracked_output_index=2)
+    """(published gain, gain of the cart study's LQR: hanging, default weights)."""
+    ctrl = lqr_design(builtin_scenarios()["cart-position-lqr-nominal"])
     return PUBLISHED_GAIN, tuple(float(v) for v in ctrl.k_gain)
 
 

@@ -15,12 +15,15 @@ and hold an upright pendulum while the cart tracks a 0.3 m step.
 from __future__ import annotations
 
 import configparser
+import inspect
 import math
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .classic import (
+    LqrController,
     LqrWeights,
     PidGains,
     lqr_synthesize,
@@ -28,7 +31,7 @@ from .classic import (
     pid_position_topology,
     pid_simultaneous_topology,
 )
-from .fuzzy import FuzzySystem, term_ladder
+from .fuzzy import STANDARD_PEAKS, FuzzySystem, ladder_rule_table, term_ladder
 from .hybrid import (
     AdaptiveParams,
     HybridChannel,
@@ -45,10 +48,46 @@ class ConfigError(ValueError):
 
 _CONDITIONS = ("nominal", "disturbance", "parameter-variation")
 _SECTIONS = ("scenario", "plant", "controller", "sim", "disturbance")
+_OPERATING_POINTS = {"upright": 0.0, "hanging": math.pi}
+_Q_KEYS = ("q_theta", "q_theta_dot", "q_x", "q_x_dot")
+# a run writes <name>.csv next to report.csv and report.txt
+_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
-_DEFAULT_PEAKS = tuple((k - 3) / 3.0 for k in range(7))
-_DEFAULT_RULES = tuple(tuple(min(max(i + j - 3, 0), 6) for j in range(7))
-                       for i in range(7))
+
+def _defaults(fn) -> dict:
+    """Parameter name -> default value in the signature of ``fn``."""
+    return {p.name: p.default for p in inspect.signature(fn).parameters.values()}
+
+
+def _gain_keys(**loops) -> dict:
+    """Schema entries ``<loop>_kp/_ki/_kd`` defaulting to each loop's PidGains."""
+    return {f"{loop}_{part}": ("float", getattr(gains, part))
+            for loop, gains in loops.items() for part in ("kp", "ki", "kd")}
+
+
+def _channel_keys(prefix: str, channel: PidGains, crisp: PidGains,
+                  output_scale: float) -> dict:
+    """Gain and scale entries of one hybrid channel, keys starting with ``prefix``."""
+    return {**_gain_keys(**{prefix + "channel": channel, prefix + "crisp": crisp}),
+            prefix + "input1_scale": ("float", FuzzySystem.input1_scale),
+            prefix + "input2_scale": ("float", FuzzySystem.input2_scale),
+            prefix + "output_scale": ("float", output_scale)}
+
+
+# Defaults are read from the library objects a bare config builds: dataclass
+# fields and the signatures of the PID topologies and of HybridChannel. Only
+# the tuned hybrid gains and the adaptation rate are written here.
+_CASCADE = _defaults(pid_position_topology)
+_SIMULTANEOUS = _defaults(pid_simultaneous_topology)
+_CHANNEL = _defaults(HybridChannel)
+_FILTER_KEY = {"filter_tau_s": ("float", PidGains.filter_tau_s)}
+_ADAPTATION_KEYS = {
+    "gamma": ("float", 0.001),
+    "safety_bound": ("float", _CHANNEL["safety_bound"]),
+    **_FILTER_KEY,
+    "natural_frequency_rads": ("float", _CHANNEL["natural_frequency_rads"]),
+    "damping_ratio": ("float", _CHANNEL["damping_ratio"]),
+}
 
 # key -> (value kind, default); kinds: float / int / str / floats / ints
 _SCENARIO_KEYS = {
@@ -57,20 +96,17 @@ _SCENARIO_KEYS = {
     "initial_theta_rad": ("float", 0.0),
 }
 _PLANT_KEYS = {
-    "cart_mass_kg": ("float", 1.2),
-    "bob_mass_kg": ("float", 0.2),
-    "pendulum_length_m": ("float", 0.36),
-    "gravity_ms2": ("float", 9.8),
+    **{f.name: ("float", f.default) for f in fields(PlantParams)},
     "cart_mass_multiplier": ("float", 1.0),
     "pendulum_length_multiplier": ("float", 1.0),
 }
 _SIM_KEYS = {
-    "dt_s": ("float", 1e-3),
-    "duration_s": ("float", 40.0),
-    "seed": ("int", 12345),
-    "force_limit_N": ("float", None),
-    "reference_amplitude": ("float", 0.3),
-    "reference_step_time_s": ("float", 0.0),
+    "dt_s": ("float", SimConfig.dt_s),
+    "duration_s": ("float", SimConfig.duration_s),
+    "seed": ("int", SimConfig.seed),
+    "force_limit_N": ("float", SimConfig.force_limit_N),
+    "reference_amplitude": ("float", ReferenceSpec.amplitude),
+    "reference_step_time_s": ("float", ReferenceSpec.step_time_s),
 }
 _DISTURBANCE_KEYS = {
     "kind": ("str", "uniform_noise"),
@@ -81,75 +117,32 @@ _DISTURBANCE_KEYS = {
 
 _CONTROLLER_SCHEMAS = {
     "lqr": {
-        "q_theta": ("float", 1.0),
-        "q_theta_dot": ("float", 9.0),
-        "q_x": ("float", 230.0),
-        "q_x_dot": ("float", 180.0),
-        "r": ("float", 1.5),
+        **{key: ("float", float(q)) for key, q in zip(_Q_KEYS, np.diag(LqrWeights().q))},
+        "r": ("float", LqrWeights.r),
         "operating_point": ("str", "upright"),
     },
     "pid-position": {
-        "position_kp": ("float", 1.2),
-        "position_ki": ("float", 0.5),
-        "position_kd": ("float", 0.3),
-        "velocity_kp": ("float", 8.0),
-        "velocity_ki": ("float", 2.0),
-        "velocity_kd": ("float", 0.0),
-        "filter_tau_s": ("float", 0.01),
+        **_gain_keys(position=_CASCADE["position_gains"],
+                     velocity=_CASCADE["velocity_gains"]),
+        **_FILTER_KEY,
     },
     "pid-simultaneous": {
-        "angle_kp": ("float", 30.0),
-        "angle_ki": ("float", 0.1),
-        "angle_kd": ("float", 4.0),
-        "position_kp": ("float", 1.8),
-        "position_ki": ("float", 0.5),
-        "position_kd": ("float", 3.0),
-        "filter_tau_s": ("float", 0.01),
+        **_gain_keys(angle=_SIMULTANEOUS["angle_gains"],
+                     position=_SIMULTANEOUS["position_gains"]),
+        **_FILTER_KEY,
     },
     "hybrid": {
-        "channel_kp": ("float", 1.5),
-        "channel_ki": ("float", 0.0),
-        "channel_kd": ("float", 1.4),
-        "crisp_kp": ("float", 1.2),
-        "crisp_ki": ("float", 0.0),
-        "crisp_kd": ("float", 0.3),
-        "input1_scale": ("float", 1.0),
-        "input2_scale": ("float", 1.0),
-        "output_scale": ("float", 12.0),
-        "gamma": ("float", 0.001),
-        "safety_bound": ("float", 100.0),
-        "filter_tau_s": ("float", 0.01),
-        "natural_frequency_rads": ("float", 1.0),
-        "damping_ratio": ("float", 0.9),
-        "input1_peaks": ("floats", _DEFAULT_PEAKS),
-        "input2_peaks": ("floats", _DEFAULT_PEAKS),
-        "output_centers": ("floats", _DEFAULT_PEAKS),
-        **{f"rule_row{i}": ("ints", _DEFAULT_RULES[i]) for i in range(7)},
+        **_channel_keys("", PidGains(1.5, 0.0, 1.4), PidGains(1.2, 0.0, 0.3), 12.0),
+        **_ADAPTATION_KEYS,
+        "input1_peaks": ("floats", STANDARD_PEAKS),
+        "input2_peaks": ("floats", STANDARD_PEAKS),
+        "output_centers": ("floats", STANDARD_PEAKS),
+        **{f"rule_row{i}": ("ints", row) for i, row in enumerate(ladder_rule_table(7))},
     },
     "hybrid-simultaneous": {
-        "angle_channel_kp": ("float", 5.0),
-        "angle_channel_ki": ("float", 0.0),
-        "angle_channel_kd": ("float", 1.0),
-        "angle_crisp_kp": ("float", 40.0),
-        "angle_crisp_ki": ("float", 0.0),
-        "angle_crisp_kd": ("float", 4.0),
-        "angle_input1_scale": ("float", 1.0),
-        "angle_input2_scale": ("float", 1.0),
-        "angle_output_scale": ("float", 8.0),
-        "position_channel_kp": ("float", 3.5),
-        "position_channel_ki": ("float", 0.0),
-        "position_channel_kd": ("float", 3.0),
-        "position_crisp_kp": ("float", 1.5),
-        "position_crisp_ki": ("float", 0.0),
-        "position_crisp_kd": ("float", 3.0),
-        "position_input1_scale": ("float", 1.0),
-        "position_input2_scale": ("float", 1.0),
-        "position_output_scale": ("float", 6.0),
-        "gamma": ("float", 0.001),
-        "safety_bound": ("float", 100.0),
-        "filter_tau_s": ("float", 0.01),
-        "natural_frequency_rads": ("float", 1.0),
-        "damping_ratio": ("float", 0.9),
+        **_channel_keys("angle_", PidGains(5.0, 0.0, 1.0), PidGains(40.0, 0.0, 4.0), 8.0),
+        **_channel_keys("position_", PidGains(3.5, 0.0, 3.0), PidGains(1.5, 0.0, 3.0), 6.0),
+        **_ADAPTATION_KEYS,
     },
 }
 
@@ -162,9 +155,9 @@ class Scenario:
     controller_kind: str
     controller_config: dict
     sim: SimConfig
-    initial_theta_rad: float = 0.0
-    cart_mass_multiplier: float = 1.0
-    pendulum_length_multiplier: float = 1.0
+    initial_theta_rad: float
+    cart_mass_multiplier: float
+    pendulum_length_multiplier: float
 
 
 def _convert(section: str, key: str, kind: str, raw: str):
@@ -213,6 +206,10 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigError(f"unknown section [{section}]")
 
     meta = _read_section(cp, "scenario", _SCENARIO_KEYS)
+    if not _NAME.fullmatch(meta["name"]) or meta["name"] == "report":
+        raise ConfigError(f"[scenario] name must be a plain file stem (letters, digits, "
+                          f"'_', '.', '-'; not starting with '.' or '-'; not 'report'), "
+                          f"got {meta['name']!r}")
     if meta["condition"] not in _CONDITIONS:
         raise ConfigError(f"[scenario] condition must be one of {_CONDITIONS}, "
                           f"got {meta['condition']!r}")
@@ -223,15 +220,10 @@ def parse_scenario(text: str) -> Scenario:
     if kind not in _CONTROLLER_SCHEMAS:
         raise ConfigError(f"[controller] kind: unknown kind {kind!r}; "
                           f"valid kinds: {', '.join(sorted(_CONTROLLER_SCHEMAS))}")
-    schema = _CONTROLLER_SCHEMAS[kind]
-    controller_config = {key: default for key, (_, default) in schema.items()}
-    for key, raw in cp.items("controller"):
-        if key == "kind":
-            continue
-        if key not in schema:
-            raise ConfigError(f"unknown key [controller] {key}")
-        controller_config[key] = _convert("controller", key, schema[key][0], raw)
-    if kind == "lqr" and controller_config["operating_point"] not in ("upright", "hanging"):
+    controller_config = _read_section(cp, "controller",
+                                      {"kind": ("str", kind), **_CONTROLLER_SCHEMAS[kind]})
+    del controller_config["kind"]
+    if kind == "lqr" and controller_config["operating_point"] not in _OPERATING_POINTS:
         raise ConfigError(f"[controller] operating_point must be 'upright' or "
                           f"'hanging', got {controller_config['operating_point']!r}")
 
@@ -248,16 +240,11 @@ def parse_scenario(text: str) -> Scenario:
 
     sim_vals = _read_section(cp, "sim", _SIM_KEYS)
     duration = sim_vals["duration_s"]
-    if cp.has_section("disturbance"):
-        dist_vals = _read_section(cp, "disturbance", _DISTURBANCE_KEYS)
-        end = dist_vals["end_s"] if dist_vals["end_s"] is not None else duration
-        dist_args = dict(kind=dist_vals["kind"], amplitude_N=dist_vals["amplitude_N"],
-                         start_s=dist_vals["start_s"], end_s=end)
-    elif meta["condition"] == "disturbance":
-        dist_args = dict(kind="uniform_noise", amplitude_N=0.5, start_s=0.0,
-                         end_s=duration)
-    else:
-        dist_args = dict(kind="none", amplitude_N=0.0, start_s=0.0, end_s=0.0)
+    dist_args = {}
+    if cp.has_section("disturbance") or meta["condition"] == "disturbance":
+        dist_args = _read_section(cp, "disturbance", _DISTURBANCE_KEYS)
+        if dist_args["end_s"] is None:
+            dist_args["end_s"] = duration
     try:
         disturbance = DisturbanceSpec(**dist_args)
         reference = ReferenceSpec(amplitude=sim_vals["reference_amplitude"],
@@ -337,41 +324,45 @@ def effective_plant(s: Scenario) -> PlantParams:
                    pendulum_length_m=s.plant.pendulum_length_m * s.pendulum_length_multiplier)
 
 
-def _build_channel(cc: dict, prefix: str = "") -> HybridChannel:
-    def get(key):
-        return cc[prefix + key] if prefix + key in cc else cc[key]
+def _gains(cc: dict, loop: str) -> PidGains:
+    return PidGains(cc[loop + "_kp"], cc[loop + "_ki"], cc[loop + "_kd"], cc["filter_tau_s"])
 
-    if "input1_peaks" in cc:
-        system = FuzzySystem(
-            input1_terms=term_ladder(cc["input1_peaks"]),
-            input2_terms=term_ladder(cc["input2_peaks"]),
-            output_centers=tuple(float(v) for v in cc["output_centers"]),
-            rule_table=tuple(tuple(int(v) for v in cc[f"rule_row{i}"]) for i in range(7)),
-            input1_scale=get("input1_scale"),
-            input2_scale=get("input2_scale"),
-            output_scale=get("output_scale"))
-    else:
-        system = FuzzySystem(
-            input1_terms=term_ladder(_DEFAULT_PEAKS),
-            input2_terms=term_ladder(_DEFAULT_PEAKS),
-            output_centers=_DEFAULT_PEAKS,
-            rule_table=_DEFAULT_RULES,
-            input1_scale=get("input1_scale"),
-            input2_scale=get("input2_scale"),
-            output_scale=get("output_scale"))
+
+def _build_channel(cc: dict, prefix: str = "") -> HybridChannel:
+    # hybrid-simultaneous configs have no fuzzy shape keys: the standard shape
+    rules = ladder_rule_table(7)
+    system = FuzzySystem(
+        input1_terms=term_ladder(cc.get("input1_peaks", STANDARD_PEAKS)),
+        input2_terms=term_ladder(cc.get("input2_peaks", STANDARD_PEAKS)),
+        output_centers=cc.get("output_centers", STANDARD_PEAKS),
+        rule_table=tuple(cc.get(f"rule_row{i}", row) for i, row in enumerate(rules)),
+        input1_scale=cc[prefix + "input1_scale"],
+        input2_scale=cc[prefix + "input2_scale"],
+        output_scale=cc[prefix + "output_scale"])
     gamma = cc["gamma"]
     adaptive = AdaptiveParams(gamma_p=gamma, gamma_i=gamma, gamma_d=gamma,
                               gamma_prime=gamma)
-    tau = cc["filter_tau_s"]
     return HybridChannel(
-        channel_gains=PidGains(get("channel_kp"), get("channel_ki"),
-                               get("channel_kd"), tau),
-        crisp_gains=PidGains(get("crisp_kp"), get("crisp_ki"), get("crisp_kd"), tau),
+        channel_gains=_gains(cc, prefix + "channel"),
+        crisp_gains=_gains(cc, prefix + "crisp"),
         fuzzy_system=system,
         adaptive=adaptive,
         safety_bound=cc["safety_bound"],
         natural_frequency_rads=cc["natural_frequency_rads"],
         damping_ratio=cc["damping_ratio"])
+
+
+def lqr_design(s: Scenario) -> LqrController:
+    """Synthesize the gain of an ``lqr`` scenario on its nominal plant.
+
+    The weights come from the config, the plant is linearized at the
+    configured operating point, and the returned controller carries the
+    Riccati solution its gain came from.
+    """
+    cc = s.controller_config
+    weights = LqrWeights(q=np.diag([cc[key] for key in _Q_KEYS]), r=cc["r"])
+    ss = linearize_at(s.plant, _OPERATING_POINTS[cc["operating_point"]])
+    return lqr_synthesize(ss, weights, tracked_output_index=2)
 
 
 def build_controller(s: Scenario):
@@ -385,26 +376,12 @@ def build_controller(s: Scenario):
     kind = s.controller_kind
     try:
         if kind == "lqr":
-            weights = LqrWeights(q=np.diag([cc["q_theta"], cc["q_theta_dot"],
-                                            cc["q_x"], cc["q_x_dot"]]), r=cc["r"])
-            theta_e = 0.0 if cc["operating_point"] == "upright" else math.pi
-            ss = linearize_at(s.plant, theta_e)
-            ctrl = lqr_synthesize(ss, weights, tracked_output_index=2)
-            return lqr_topology(ctrl, equilibrium=State(theta_e, 0.0, 0.0, 0.0))
+            theta_e = _OPERATING_POINTS[cc["operating_point"]]
+            return lqr_topology(lqr_design(s), equilibrium=State(theta_e, 0.0, 0.0, 0.0))
         if kind == "pid-position":
-            tau = cc["filter_tau_s"]
-            return pid_position_topology(
-                position_gains=PidGains(cc["position_kp"], cc["position_ki"],
-                                        cc["position_kd"], tau),
-                velocity_gains=PidGains(cc["velocity_kp"], cc["velocity_ki"],
-                                        cc["velocity_kd"], tau))
+            return pid_position_topology(_gains(cc, "position"), _gains(cc, "velocity"))
         if kind == "pid-simultaneous":
-            tau = cc["filter_tau_s"]
-            return pid_simultaneous_topology(
-                angle_gains=PidGains(cc["angle_kp"], cc["angle_ki"],
-                                     cc["angle_kd"], tau),
-                position_gains=PidGains(cc["position_kp"], cc["position_ki"],
-                                        cc["position_kd"], tau))
+            return pid_simultaneous_topology(_gains(cc, "angle"), _gains(cc, "position"))
         if kind == "hybrid":
             return hybrid_position_topology(_build_channel(cc))
         if kind == "hybrid-simultaneous":

@@ -27,6 +27,10 @@ Derivative = Callable[[State, float], State]
 
 CSV_HEADER = "t,theta,theta_dot,x,x_dot,u,ref"
 
+# Largest run length SimConfig admits: 1000 s at the default 1 ms step. It
+# bounds the memory a run takes; the longest built-in run is 120,000 steps.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ReferenceSpec:
@@ -80,6 +84,9 @@ class SimConfig:
             raise ValueError(
                 f"duration_s must be at least one step, got {self.duration_s!r}")
         steps = self.duration_s / self.dt_s
+        if steps > MAX_STEPS:
+            raise ValueError(f"duration_s / dt_s = {steps:.6g} steps exceeds the "
+                             f"bound of {MAX_STEPS} steps")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"duration_s = {self.duration_s} is not an integer number of "

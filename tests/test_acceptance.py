@@ -29,7 +29,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from cartpend.classic import (
     ConvergenceError,
@@ -43,8 +42,8 @@ from cartpend.hybrid import AdaptiveParams, HybridChannel
 from cartpend.metrics import overshoot_pct, settling_time, steady_state_error
 from cartpend.plant import PlantParams, State, StateSpace, linearize, linearize_at, nonlinear_derivative
 from cartpend import repro
-from cartpend.scenario import build_controller, builtin_scenarios, effective_plant
-from cartpend.sim import make_derivative, rk4_step, run_closed_loop
+from cartpend.scenario import builtin_scenarios, run_scenario
+from cartpend.sim import make_derivative, rk4_step
 
 P = PlantParams()
 
@@ -66,25 +65,6 @@ def _report(num, ok, detail):
     line = f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}"
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def runs():
-    cache = {}
-    cat = builtin_scenarios()
-
-    def get(name):
-        if name not in cache:
-            s = cat[name]
-            ctrl = build_controller(s)
-            traj = run_closed_loop(
-                effective_plant(s), ctrl, s.sim,
-                initial_state=State(s.initial_theta_rad, 0.0, 0.0, 0.0),
-            )
-            cache[name] = (traj, ctrl)
-        return cache[name]
-
-    return get
 
 
 def _settle(traj):
@@ -441,12 +421,7 @@ def test_criterion_8_reproducibility():
     cat = builtin_scenarios()
     s = cat["cart-position-lqr-disturbance"]
 
-    def once():
-        ctrl = build_controller(s)
-        return run_closed_loop(effective_plant(s), ctrl, s.sim,
-                               initial_state=State(s.initial_theta_rad, 0.0, 0.0, 0.0))
-
-    t1, t2 = once(), once()
+    t1, t2 = run_scenario(s), run_scenario(s)
     csv_same = t1.to_csv_text() == t2.to_csv_text()
     r1 = summarize([("lqr", t1)], s.name).to_text()
     r2 = summarize([("lqr", t2)], s.name).to_text()

@@ -84,6 +84,41 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "maglev" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["../escaped", "report", ""])
+def test_unsafe_or_colliding_name_exits_2(tmp_path, capsys, name):
+    cfg = _write(tmp_path, "a.ini", SHORT_LQR.replace("quick-lqr", name))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "[scenario] name" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "escaped.csv").exists()
+
+
+def test_duplicate_names_exit_2_before_running(tmp_path, capsys):
+    cfg1 = _write(tmp_path, "a.ini", SHORT_LQR.replace("quick-lqr", "same"))
+    cfg2 = _write(tmp_path, "b.ini", SHORT_LQR.replace("quick-lqr", "same"))
+    out = tmp_path / "out"
+    assert main(["run", cfg1, cfg2, "--out", str(out)]) == 2
+    assert "'same'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unbounded_step_count_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "a.ini", SHORT_LQR.replace("duration_s = 5", "dt_s = 1e-300"))
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "[sim]" in capsys.readouterr().err
+
+
+def test_non_finite_gain_exits_2_and_other_runs_finish(tmp_path, capsys):
+    bad = _write(tmp_path, "bad.ini", BLOWUP.replace("-1e200", "inf"))
+    good = _write(tmp_path, "good.ini", SHORT_LQR)
+    out = tmp_path / "out"
+    assert main(["run", bad, good, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[controller] kp must be finite" in err and "diverged" not in err
+    assert (out / "quick-lqr.csv").exists() and not (out / "blowup.csv").exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 2
 
@@ -126,6 +161,32 @@ def test_lqr_gain_prints_gain_and_feedforward(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "K" in text and "N" in text
     assert "12.38" in text  # position entry of the gain at the default weights
+
+
+def test_lqr_gain_solves_the_riccati_equation_once(tmp_path, capsys, monkeypatch):
+    import cartpend.classic
+    import cartpend.cli
+
+    calls = []
+    solve = cartpend.classic.solve_care
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    # the CLI module too, in case it ever imports the solver by name
+    for module in (cartpend.classic, cartpend.cli):
+        monkeypatch.setattr(module, "solve_care", counted, raising=False)
+    cfg = _write(tmp_path, "a.ini", SHORT_LQR)
+    assert main(["lqr-gain", cfg]) == 0
+    assert len(calls) == 1
+    assert "P =" in capsys.readouterr().out
+
+
+def test_lqr_gain_bad_weights_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "a.ini", SHORT_LQR.replace("kind = lqr", "kind = lqr\nr = -1"))
+    assert main(["lqr-gain", cfg]) == 2
+    assert "[controller] r must be positive" in capsys.readouterr().err
 
 
 def test_lqr_gain_rejects_other_controllers(tmp_path, capsys):

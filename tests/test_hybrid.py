@@ -10,7 +10,6 @@ from cartpend.hybrid import (
     AdaptiveParams,
     HybridChannel,
     ReferenceModel,
-    hybrid_control_step,
     hybrid_position_topology,
     hybrid_simultaneous_topology,
     lambda_signals,
@@ -138,7 +137,7 @@ def test_lambda_signals_examples():
 def test_channel_zero_history_zero_output():
     ch = _cart_channel()
     for _ in range(50):
-        assert hybrid_control_step(ch, 0.0, 0.0, 0.0, 1e-3) == 0.0
+        assert ch.step(0.0, 0.0, 0.0, 1e-3) == 0.0
 
 
 def _reduction_reference(kp, ki, kd, cp, ci, cd, fsys, lam_seq, e_seq, edot_seq, tau, dt):

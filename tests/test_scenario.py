@@ -1,10 +1,29 @@
 """Scenario config parsing, defaults, round-trip identity, and the built-in matrix."""
 import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cartpend.classic import (
+    LqrWeights,
+    PidGains,
+    lqr_synthesize,
+    lqr_topology,
+    pid_position_topology,
+    pid_simultaneous_topology,
+)
+from cartpend.fuzzy import standard_fuzzy_system
+from cartpend.hybrid import (
+    AdaptiveParams,
+    HybridChannel,
+    hybrid_position_topology,
+    hybrid_simultaneous_topology,
+)
+from cartpend.metrics import summarize
 from cartpend.scenario import (
     ConfigError,
     build_controller,
@@ -14,7 +33,10 @@ from cartpend.scenario import (
     run_scenario,
     serialize_scenario,
 )
-from cartpend.plant import State
+from cartpend.plant import PlantParams, State, linearize
+from cartpend.sim import SimConfig, run_closed_loop
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 MINIMAL = "[controller]\nkind = lqr\n"
 
@@ -185,3 +207,69 @@ def test_run_scenario_smoke():
     traj = run_scenario(short)
     assert abs(traj.states[-1, 2] - 1.0) < 0.02
     assert np.all(np.isfinite(traj.states))
+
+
+def _channel(cc, prefix=""):
+    """A channel from the config's own gains and the library's other defaults."""
+    gamma = cc["gamma"]
+    return HybridChannel(
+        PidGains(*(cc[f"{prefix}channel_{p}"] for p in ("kp", "ki", "kd"))),
+        PidGains(*(cc[f"{prefix}crisp_{p}"] for p in ("kp", "ki", "kd"))),
+        standard_fuzzy_system(output_scale=cc[f"{prefix}output_scale"]),
+        AdaptiveParams(gamma_p=gamma, gamma_i=gamma, gamma_d=gamma, gamma_prime=gamma))
+
+
+def test_minimal_configs_build_the_library_defaults():
+    """``[controller] kind = ...`` alone builds what the no-argument objects build."""
+    library = {
+        "lqr": lambda cc: lqr_topology(lqr_synthesize(linearize(PlantParams()),
+                                                      LqrWeights(), 2)),
+        "pid-position": lambda cc: pid_position_topology(),
+        "pid-simultaneous": lambda cc: pid_simultaneous_topology(),
+        "hybrid": lambda cc: hybrid_position_topology(_channel(cc)),
+        "hybrid-simultaneous": lambda cc: hybrid_simultaneous_topology(
+            _channel(cc, "angle_"), _channel(cc, "position_")),
+    }
+    short = SimConfig(duration_s=0.3)
+    start = State(0.05, 0.0, 0.0, 0.0)
+    for kind, make in library.items():
+        s = parse_scenario(f"[controller]\nkind = {kind}\n")
+        assert s.plant == PlantParams(), kind
+        assert s.sim == SimConfig(), kind
+        built = run_closed_loop(s.plant, build_controller(s), short, initial_state=start)
+        lib = run_closed_loop(PlantParams(), make(s.controller_config), short,
+                              initial_state=start)
+        assert np.array_equal(built.inputs_N, lib.inputs_N), kind
+        assert np.array_equal(built.states, lib.states), kind
+
+
+def test_builtin_trajectories_match_golden_hashes(runs):
+    """Every built-in run hashes to the benchmark's recorded CSV and report row."""
+    golden = json.loads(GOLDEN.read_text())
+    recorded = golden["full"]["study-matrix"]
+    cat = builtin_scenarios()
+    assert {s.sim.seed for s in cat.values()} == {golden["shipped_seed"]}
+    assert sorted(cat) == sorted(recorded["csv_sha256"])
+    wrong = []
+    for name, s in cat.items():
+        traj = runs(name)[0]
+        sha = hashlib.sha256(traj.to_csv_text().encode()).hexdigest()
+        row = summarize([(s.controller_kind, traj)], name).to_csv().splitlines()[1]
+        if sha != recorded["csv_sha256"][name] or row != recorded["report_rows"][name]:
+            wrong.append(name)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "report", "", ".hidden", "-x",
+                                  "two words", "a,b"])
+def test_name_must_be_plain_file_stem(name):
+    with pytest.raises(ConfigError, match=r"\[scenario\] name"):
+        parse_scenario(f"[scenario]\nname = {name}\n\n[controller]\nkind = lqr\n")
+
+
+@pytest.mark.parametrize("key", ["position_kp", "velocity_ki", "position_kd"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_pid_gain_is_a_controller_error(key, value):
+    s = parse_scenario(f"[controller]\nkind = pid-position\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=r"\[controller\] k[pid] must be finite"):
+        build_controller(s)

@@ -7,6 +7,7 @@ import pytest
 from cartpend.plant import PlantParams, State, linearize, mechanical_energy, nonlinear_derivative
 from cartpend.rng import SplitMix64
 from cartpend.sim import (
+    MAX_STEPS,
     DisturbanceSpec,
     ReferenceSpec,
     SimConfig,
@@ -247,3 +248,14 @@ def test_linear_vs_nonlinear_small_step():
         s_lin = rk4_step(f_lin, s_lin, u_lin, dt)
         worst = max(worst, abs(s_nl.x_m - s_lin.x_m))
     assert worst <= 0.02 * r
+
+
+def test_step_count_is_bounded():
+    from cartpend.scenario import builtin_scenarios
+
+    longest = max(s.sim.step_count for s in builtin_scenarios().values())
+    assert longest == 120_000 <= MAX_STEPS
+    assert SimConfig(dt_s=1e-3, duration_s=MAX_STEPS * 1e-3).step_count == MAX_STEPS
+    for dt_s, duration_s in ((1e-300, 40.0), (1e-300, 1e308), (1e-3, 2.0 * MAX_STEPS * 1e-3)):
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            SimConfig(dt_s=dt_s, duration_s=duration_s)
