@@ -234,9 +234,6 @@ class _LqrLoop:
         dev = State(*(s - e for s, e in zip(state, self._eq)))
         return lqr_control(self._ctrl, reference, dev)
 
-    def reset(self):
-        pass
-
 
 def lqr_topology(ctrl: LqrController,
                  equilibrium: State = State(0.0, 0.0, 0.0, 0.0)) -> _LqrLoop:
@@ -257,9 +254,6 @@ class _CascadeLoop:
     def __init__(self, position_gains: PidGains, velocity_gains: PidGains):
         self._pos_g = position_gains
         self._vel_g = velocity_gains
-        self.reset()
-
-    def reset(self):
         self._pos_s = None
         self._vel_s = None
 
@@ -296,9 +290,6 @@ class _SimultaneousLoop:
     def __init__(self, angle_gains: PidGains, position_gains: PidGains):
         self._ang_g = angle_gains
         self._pos_g = position_gains
-        self.reset()
-
-    def reset(self):
         self._ang_s = None
         self._pos_s = None
 

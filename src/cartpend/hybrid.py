@@ -19,7 +19,7 @@ holds this reduction to float accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .classic import PidGains
 from .fuzzy import FuzzySystem, fuzzy_infer
@@ -61,61 +61,65 @@ def reference_model_step(model: ReferenceModel, r: float, dt_s: float) -> float:
     return model.y
 
 
+_THETA_NAMES = ("theta1", "theta2", "theta3", "theta_prime")
+
+
 @dataclass(frozen=True)
 class AdaptiveParams:
-    """Mixing parameters and their adaptation rates.
+    """Initial mixing parameters and their adaptation rates.
 
-    ``theta_prime`` scales the measured output inside the lambda signals;
-    1 makes them error-like, 0 makes them reference-like.
+    Validated once, when a channel is built; the channel then adapts a plain
+    tuple seeded from the four thetas. ``theta_prime`` scales the measured
+    output inside the lambda signals; 1 makes them error-like, 0 makes them
+    reference-like. The scenario schema reads its ``gamma`` default from
+    ``gamma_p``.
     """
 
     theta1: float = 1.0
     theta2: float = 1.0
     theta3: float = 1.0
     theta_prime: float = 1.0
-    gamma_p: float = 0.01
-    gamma_i: float = 0.01
-    gamma_d: float = 0.01
-    gamma_prime: float = 0.01
+    gamma_p: float = 0.001
+    gamma_i: float = 0.001
+    gamma_d: float = 0.001
+    gamma_prime: float = 0.001
 
     def __post_init__(self):
         for name in ("gamma_p", "gamma_i", "gamma_d", "gamma_prime"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be >= 0, got {v!r}")
-        for name in ("theta1", "theta2", "theta3", "theta_prime"):
+        for name in _THETA_NAMES:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
 
-def _mit_targets(params: AdaptiveParams, e_model: float, y: float,
-                 y_model_filtered: float, dt_s: float):
-    step = e_model * y * dt_s
-    return (params.theta1 - params.gamma_p * step,
-            params.theta2 - params.gamma_i * step,
-            params.theta3 - params.gamma_d * step,
-            params.theta_prime - params.gamma_prime * e_model * y_model_filtered * dt_s)
+def mit_rule_update(theta, params: AdaptiveParams, e_model: float, y: float,
+                    y_model_filtered: float, dt_s: float, bound: float):
+    """Gradient step on ``theta = (theta1, theta2, theta3, theta_prime)``.
 
-
-def mit_rule_update(params: AdaptiveParams, e_model: float, y: float,
-                    y_model_filtered: float, dt_s: float,
-                    bound: float = 100.0) -> AdaptiveParams:
-    """Gradient step on the mixing parameters, clipped to the safety box.
-
-    theta1..3 descend along e_model * y; theta_prime along e_model times the
-    filtered model output. The box keeps a mis-tuned rate from running away.
+    theta1..3 descend along e_model * y at the rates in ``params``;
+    theta_prime along e_model times the filtered model output. The result is
+    clipped to the box [-bound, bound], which keeps a mis-tuned rate from
+    running away. Returns the boxed tuple and the names the box clipped.
     """
-    t1, t2, t3, tp = (min(max(v, -bound), bound)
-                      for v in _mit_targets(params, e_model, y, y_model_filtered, dt_s))
-    return replace(params, theta1=t1, theta2=t2, theta3=t3, theta_prime=tp)
+    t1, t2, t3, tp = theta
+    step = e_model * y * dt_s
+    raw = (t1 - params.gamma_p * step,
+           t2 - params.gamma_i * step,
+           t3 - params.gamma_d * step,
+           tp - params.gamma_prime * e_model * y_model_filtered * dt_s)
+    boxed = tuple(min(max(v, -bound), bound) for v in raw)
+    return boxed, [name for name, v, b in zip(_THETA_NAMES, raw, boxed) if v != b]
 
 
-def lambda_signals(params: AdaptiveParams, r: float, y: float):
+def lambda_signals(theta, r: float, y: float):
     """The three adapted shaping signals lam_i = theta_i r - theta' y."""
-    common = params.theta_prime * y
-    return (params.theta1 * r - common,
-            params.theta2 * r - common,
-            params.theta3 * r - common)
+    t1, t2, t3, tp = theta
+    common = tp * y
+    return (t1 * r - common,
+            t2 * r - common,
+            t3 * r - common)
 
 
 class HybridChannel:
@@ -139,11 +143,12 @@ class HybridChannel:
         self.safety_bound = safety_bound
         self.natural_frequency_rads = natural_frequency_rads
         self.damping_ratio = damping_ratio
-        self._initial = adaptive
+        self._adaptive = adaptive
         self.reset()
 
     def reset(self):
-        self.adaptive = self._initial
+        a = self._adaptive
+        self.theta = (a.theta1, a.theta2, a.theta3, a.theta_prime)
         self.clamp_events = []
         self._model = ReferenceModel(self.natural_frequency_rads, self.damping_ratio)
         self._model_filter = ReferenceModel(self.natural_frequency_rads, self.damping_ratio)
@@ -161,17 +166,12 @@ class HybridChannel:
         e_model = y - y_model
         y_model_filtered = reference_model_step(self._model_filter, y_model, dt_s)
 
-        targets = _mit_targets(self.adaptive, e_model, y, y_model_filtered, dt_s)
-        self.adaptive = mit_rule_update(self.adaptive, e_model, y, y_model_filtered,
-                                        dt_s, bound=self.safety_bound)
-        clamped = (self.adaptive.theta1, self.adaptive.theta2, self.adaptive.theta3,
-                   self.adaptive.theta_prime)
-        for name, raw, boxed in zip(("theta1", "theta2", "theta3", "theta_prime"),
-                                    targets, clamped):
-            if raw != boxed:
-                self.clamp_events.append((self._steps, name))
+        self.theta, clamped = mit_rule_update(self.theta, self._adaptive, e_model, y,
+                                              y_model_filtered, dt_s, self.safety_bound)
+        for name in clamped:
+            self.clamp_events.append((self._steps, name))
 
-        lam1, lam2, lam3 = lambda_signals(self.adaptive, r, y)
+        lam1, lam2, lam3 = lambda_signals(self.theta, r, y)
         if self._first:
             self._lambda2_prev = lam2
             self._lambda3_prev = lam3
@@ -208,9 +208,6 @@ class _HybridPositionLoop:
     def step(self, reference: float, state: State, dt_s: float) -> float:
         return self._channel.step(reference, state.x_m, -state.x_dot_ms, dt_s)
 
-    def reset(self):
-        self._channel.reset()
-
     @property
     def clamp_events(self):
         return list(self._channel.clamp_events)
@@ -231,10 +228,6 @@ class _HybridSimultaneousLoop:
         u_angle = self._angle.step(0.0, state.theta_rad, -state.theta_dot_rads, dt_s)
         u_pos = self._position.step(reference, state.x_m, -state.x_dot_ms, dt_s)
         return u_angle - u_pos
-
-    def reset(self):
-        self._angle.reset()
-        self._position.reset()
 
     @property
     def clamp_events(self):

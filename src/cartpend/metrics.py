@@ -105,9 +105,6 @@ class Report:
             lines.append(f"  {name}: settling {settle}, "
                          f"overshoot {m.overshoot_pct:.4g}%, "
                          f"sse {m.steady_state_error:.4g}")
-        ratio = self._settling_ratio()
-        if ratio is not None:
-            lines.append(f"  hybrid/pid settling ratio: {ratio}%")
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
@@ -116,15 +113,6 @@ class Report:
             lines.append(f"{name},{self.scenario_label},{m.settling_time_s:.6g},"
                          f"{m.overshoot_pct:.6g},{m.steady_state_error:.6g}")
         return "\n".join(lines) + "\n"
-
-    def _settling_ratio(self):
-        hybrid = next((m for name, m in self.entries if "hybrid" in name), None)
-        pid = next((m for name, m in self.entries if "pid" in name), None)
-        if hybrid is None or pid is None:
-            return None
-        if not (hybrid.settled and pid.settled and pid.settling_time_s > 0.0):
-            return None
-        return round(100.0 * hybrid.settling_time_s / pid.settling_time_s)
 
 
 def summarize(rows, scenario_label: str) -> Report:

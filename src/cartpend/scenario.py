@@ -76,13 +76,13 @@ def _channel_keys(prefix: str, channel: PidGains, crisp: PidGains,
 
 # Defaults are read from the library objects a bare config builds: dataclass
 # fields and the signatures of the PID topologies and of HybridChannel. Only
-# the tuned hybrid gains and the adaptation rate are written here.
+# the tuned hybrid gains are written here.
 _CASCADE = _defaults(pid_position_topology)
 _SIMULTANEOUS = _defaults(pid_simultaneous_topology)
 _CHANNEL = _defaults(HybridChannel)
 _FILTER_KEY = {"filter_tau_s": ("float", PidGains.filter_tau_s)}
 _ADAPTATION_KEYS = {
-    "gamma": ("float", 0.001),
+    "gamma": ("float", AdaptiveParams.gamma_p),
     "safety_bound": ("float", _CHANNEL["safety_bound"]),
     **_FILTER_KEY,
     "natural_frequency_rads": ("float", _CHANNEL["natural_frequency_rads"]),
@@ -210,6 +210,9 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError(f"[scenario] name must be a plain file stem (letters, digits, "
                           f"'_', '.', '-'; not starting with '.' or '-'; not 'report'), "
                           f"got {meta['name']!r}")
+    if not math.isfinite(meta["initial_theta_rad"]):
+        raise ConfigError(f"[scenario] initial_theta_rad must be finite, "
+                          f"got {meta['initial_theta_rad']!r}")
     if meta["condition"] not in _CONDITIONS:
         raise ConfigError(f"[scenario] condition must be one of {_CONDITIONS}, "
                           f"got {meta['condition']!r}")

@@ -178,9 +178,13 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
     """Simulate one controller against the nonlinear plant.
 
     ``controller`` needs a ``step(reference, state, dt_s) -> force`` method.
-    Raises SimulationFault (with the finite prefix attached) the moment the
-    force or the next state stops being finite.
+    This loop is the one place that checks finiteness: a non-finite
+    ``initial_state`` raises ValueError before the controller is asked, and
+    SimulationFault (with the finite prefix attached) is raised the moment
+    the force or the next state stops being finite.
     """
+    if not all(map(math.isfinite, initial_state)):
+        raise ValueError(f"non-finite initial state {tuple(initial_state)}")
     n = config.step_count
     dt = config.dt_s
     times = np.arange(n + 1) * dt
@@ -211,7 +215,7 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
             s_next = rk4_step(f, s, u, dt)
         except (ValueError, OverflowError, FloatingPointError):
             raise SimulationFault(k, partial(k)) from None
-        if not all(math.isfinite(v) for v in s_next):
+        if not all(map(math.isfinite, s_next)):
             raise SimulationFault(k, partial(k))
         s = s_next
         states[k + 1] = s

@@ -483,8 +483,7 @@ def test_criterion_9_adaptation_reduction_and_safety(runs):
     )
     for _ in range(200):
         hot.step(1.0, -1.0, 0.0, 1e-2)
-    a = hot.adaptive
-    boxed = all(abs(v) <= 2.0 for v in (a.theta1, a.theta2, a.theta3, a.theta_prime))
+    boxed = all(abs(v) <= 2.0 for v in hot.theta)
     logged = len(hot.clamp_events) > 0
 
     clean = []

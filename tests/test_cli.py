@@ -119,6 +119,17 @@ def test_non_finite_gain_exits_2_and_other_runs_finish(tmp_path, capsys):
     assert (out / "quick-lqr.csv").exists() and not (out / "blowup.csv").exists()
 
 
+@pytest.mark.parametrize("angle", ["inf", "nan"])
+def test_non_finite_initial_angle_exits_2(tmp_path, capsys, angle):
+    text = SHORT_LQR.replace("[controller]", f"initial_theta_rad = {angle}\n\n[controller]")
+    cfg = _write(tmp_path, "a.ini", text.replace("duration_s = 5", "duration_s = 1"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[scenario] initial_theta_rad" in err and "diverged" not in err
+    assert not (out / "quick-lqr.csv").exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 2
 

@@ -85,35 +85,39 @@ def test_reference_model_validation():
 
 # ---------------- MIT rule ----------------
 
+UNIT_THETA = (1.0, 1.0, 1.0, 1.0)
+
+
 def test_mit_rule_zero_rates_freeze_parameters():
     p = AdaptiveParams(gamma_p=0.0, gamma_i=0.0, gamma_d=0.0, gamma_prime=0.0)
-    q = mit_rule_update(p, 0.5, 2.0, 1.5, 0.01)
-    assert q == p
+    assert mit_rule_update(UNIT_THETA, p, 0.5, 2.0, 1.5, 0.01, 100.0) == (UNIT_THETA, [])
 
 
 def test_mit_rule_zero_model_error_freezes_parameters():
     p = AdaptiveParams()
-    q = mit_rule_update(p, 0.0, 2.0, 1.5, 0.01)
-    assert (q.theta1, q.theta2, q.theta3, q.theta_prime) == (1.0, 1.0, 1.0, 1.0)
+    q, clamped = mit_rule_update(UNIT_THETA, p, 0.0, 2.0, 1.5, 0.01, 100.0)
+    assert q == (1.0, 1.0, 1.0, 1.0) and clamped == []
 
 
 def test_mit_rule_gradient_arithmetic():
     p = AdaptiveParams(gamma_p=1.0, gamma_i=0.0, gamma_d=0.0, gamma_prime=0.0)
-    q = mit_rule_update(p, 0.5, 2.0, 0.0, 0.01)
-    assert q.theta1 == pytest.approx(1.0 - 0.01, abs=1e-15)
-    assert q.theta2 == 1.0 and q.theta3 == 1.0 and q.theta_prime == 1.0
+    (t1, t2, t3, tp), _ = mit_rule_update(UNIT_THETA, p, 0.5, 2.0, 0.0, 0.01, 100.0)
+    assert t1 == pytest.approx(1.0 - 0.01, abs=1e-15)
+    assert t2 == 1.0 and t3 == 1.0 and tp == 1.0
 
 
 def test_mit_rule_uses_filtered_output_for_theta_prime():
     p = AdaptiveParams(gamma_p=0.0, gamma_i=0.0, gamma_d=0.0, gamma_prime=2.0)
-    q = mit_rule_update(p, 0.5, 2.0, 1.5, 0.01)
-    assert q.theta_prime == pytest.approx(1.0 - 2.0 * 0.5 * 1.5 * 0.01, abs=1e-15)
+    (_, _, _, tp), _ = mit_rule_update(UNIT_THETA, p, 0.5, 2.0, 1.5, 0.01, 100.0)
+    assert tp == pytest.approx(1.0 - 2.0 * 0.5 * 1.5 * 0.01, abs=1e-15)
 
 
 def test_mit_rule_safety_box_clamps():
     p = AdaptiveParams(theta1=99.999, gamma_p=1000.0)
-    q = mit_rule_update(p, -1.0, 1.0, 1.0, 1.0, bound=100.0)
-    assert q.theta1 == 100.0
+    theta = (p.theta1, p.theta2, p.theta3, p.theta_prime)
+    q, clamped = mit_rule_update(theta, p, -1.0, 1.0, 1.0, 1.0, 100.0)
+    assert q[0] == 100.0
+    assert clamped == ["theta1"]
 
 
 def test_adaptive_params_reject_negative_rates():
@@ -124,12 +128,9 @@ def test_adaptive_params_reject_negative_rates():
 # ---------------- lambda signals ----------------
 
 def test_lambda_signals_examples():
-    p = AdaptiveParams(theta1=1.0, theta2=1.0, theta3=1.0, theta_prime=0.0)
-    assert lambda_signals(p, 0.3, 5.0) == pytest.approx((0.3, 0.3, 0.3))
-    p = AdaptiveParams(theta_prime=1.0)
-    assert lambda_signals(p, 0.0, 0.2) == pytest.approx((-0.2, -0.2, -0.2))
-    p = AdaptiveParams(theta1=2.0, theta2=0.0, theta3=1.0, theta_prime=1.0)
-    assert lambda_signals(p, 1.0, 0.5) == pytest.approx((1.5, -0.5, 0.5))
+    assert lambda_signals((1.0, 1.0, 1.0, 0.0), 0.3, 5.0) == pytest.approx((0.3, 0.3, 0.3))
+    assert lambda_signals((1.0, 1.0, 1.0, 1.0), 0.0, 0.2) == pytest.approx((-0.2, -0.2, -0.2))
+    assert lambda_signals((2.0, 0.0, 1.0, 1.0), 1.0, 0.5) == pytest.approx((1.5, -0.5, 0.5))
 
 
 # ---------------- channel structure ----------------
@@ -192,9 +193,10 @@ def test_channel_clamp_logging():
     )
     for k in range(200):
         ch.step(1.0, -1.0, 0.0, 1e-2)
-    assert len(ch.clamp_events) > 0
-    a = ch.adaptive
-    assert all(abs(v) <= 2.0 for v in (a.theta1, a.theta2, a.theta3, a.theta_prime))
+    assert len(ch.clamp_events) == 791
+    assert len(set(ch.clamp_events)) == len(ch.clamp_events)
+    assert ch.clamp_events[:3] == [(0, "theta1"), (0, "theta2"), (0, "theta3")]
+    assert all(abs(v) <= 2.0 for v in ch.theta)
 
 
 def test_channel_no_clamp_events_at_default_rates():

@@ -58,13 +58,6 @@ def test_unit_force_hand_oracle():
     assert d.theta_rad == 0.0 and d.x_m == 0.0
 
 
-def test_nonfinite_state_rejected():
-    with pytest.raises(ValueError):
-        nonlinear_derivative(P, State(math.nan, 0.0, 0.0, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        nonlinear_derivative(P, State(0.0, 0.0, 0.0, 0.0), math.inf)
-
-
 def test_linearize_b_vector():
     ss = linearize(P)
     assert ss.b[:, 0] == pytest.approx([0.0, B_THETA, 0.0, B_X], abs=1e-12)

@@ -211,12 +211,11 @@ def test_run_scenario_smoke():
 
 def _channel(cc, prefix=""):
     """A channel from the config's own gains and the library's other defaults."""
-    gamma = cc["gamma"]
     return HybridChannel(
         PidGains(*(cc[f"{prefix}channel_{p}"] for p in ("kp", "ki", "kd"))),
         PidGains(*(cc[f"{prefix}crisp_{p}"] for p in ("kp", "ki", "kd"))),
         standard_fuzzy_system(output_scale=cc[f"{prefix}output_scale"]),
-        AdaptiveParams(gamma_p=gamma, gamma_i=gamma, gamma_d=gamma, gamma_prime=gamma))
+        AdaptiveParams())
 
 
 def test_minimal_configs_build_the_library_defaults():

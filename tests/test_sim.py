@@ -165,6 +165,40 @@ def test_fault_carries_partial_trajectory():
     assert np.all(np.isfinite(err.trajectory.states))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_initial_state_raises_before_the_controller_runs(bad):
+    class Spy:
+        calls = 0
+
+        def step(self, reference, state, dt_s):
+            Spy.calls += 1
+            return 0.0
+
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference=ReferenceSpec(0.0, 0.0))
+    with pytest.raises(ValueError, match="initial state"):
+        run_closed_loop(P, Spy(), cfg, initial_state=State(0.0, 0.0, bad, 0.0))
+    assert Spy.calls == 0
+
+
+def test_finite_overflowing_force_faults_at_its_step():
+    # 1e300 N is finite, so it passes the force check; the state overflows
+    # inside the RK4 step and the post-step check names step 5
+    class Kick:
+        k = 0
+
+        def step(self, reference, state, dt_s):
+            Kick.k += 1
+            return 1e300 if Kick.k == 6 else 0.0
+
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.05, reference=ReferenceSpec(0.0, 0.0))
+    with pytest.raises(SimulationFault) as exc:
+        run_closed_loop(P, Kick(), cfg, initial_state=State(0.1, 0.0, 0.0, 0.0))
+    err = exc.value
+    assert err.step_index == 5
+    assert err.trajectory.states.shape == (6, 4)
+    assert np.all(np.isfinite(err.trajectory.states))
+
+
 def test_force_limit_clamps_inputs():
     class Big:
         def step(self, reference, state, dt_s):
