@@ -55,11 +55,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(path: str):
+def _read_text(path: str):
+    """The UTF-8 text of ``path``, or None after printing an error line."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+    return None
+
+
+def _load_scenario(path: str):
+    text = _read_text(path)
+    if text is None:
         return None
     try:
         return parse_scenario(text)
@@ -116,10 +125,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        text = Path(args.csv).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if not 0.0 < args.band < 1.0:
+        print(f"error: --band must be in (0, 1), got {args.band!r}", file=sys.stderr)
+        return 2
+    if args.reference is not None and not math.isfinite(args.reference):
+        print(f"error: --reference must be finite, got {args.reference!r}",
+              file=sys.stderr)
+        return 2
+    text = _read_text(args.csv)
+    if text is None:
         return 2
     try:
         traj = Trajectory.from_csv_text(text)

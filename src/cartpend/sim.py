@@ -31,6 +31,8 @@ CSV_HEADER = "t,theta,theta_dot,x,x_dot,u,ref"
 # bounds the memory a run takes; the longest built-in run is 120,000 steps.
 MAX_STEPS = 1_000_000
 
+_CSV_CHUNK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class ReferenceSpec:
@@ -115,20 +117,30 @@ class Trajectory:
     references: np.ndarray
 
     def to_csv_text(self) -> str:
-        rows = [CSV_HEADER]
-        for k in range(len(self.times_s)):
-            vals = (self.times_s[k], *self.states[k], self.inputs_N[k],
-                    self.references[k])
-            rows.append(",".join(format(v, ".15g") for v in vals))
-        return "\n".join(rows) + "\n"
+        # "%.15g" % v is the same text as format(v, ".15g"). Each chunk of
+        # rows is formatted by one repeated row template; converting a chunk
+        # at a time bounds the Python floats alive at once.
+        table = np.column_stack((self.times_s, self.states, self.inputs_N,
+                                 self.references))
+        row = ",".join(["%.15g"] * 7) + "\n"
+        parts = [CSV_HEADER + "\n"]
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = table[start:start + _CSV_CHUNK_ROWS]
+            parts.append(row * len(chunk) % tuple(chunk.ravel().tolist()))
+        return "".join(parts)
 
     @classmethod
     def from_csv_text(cls, text: str) -> "Trajectory":
         lines = [ln for ln in text.strip().splitlines() if ln]
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError("unrecognized trajectory csv header")
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        if data.ndim != 2 or data.shape[1] != 7:
+        # loadtxt only warns on an empty body and takes any uniform column
+        # count, so both are checked here. It raises on ragged rows and on an
+        # empty or non-numeric field, "1_0" included, which float() accepts.
+        if len(lines) == 1:
+            raise ValueError("trajectory csv has no data rows")
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] != 7:
             raise ValueError("trajectory csv must have 7 columns")
         return cls(times_s=data[:, 0], states=data[:, 1:5], inputs_N=data[:, 5],
                    references=data[:, 6])
@@ -144,17 +156,23 @@ class SimulationFault(RuntimeError):
 
 
 def rk4_step(f: Derivative, state: State, u: float, dt_s: float) -> State:
-    """One classical Runge-Kutta step with the input held constant."""
-    k1 = f(state, u)
-    s2 = State(*(s + 0.5 * dt_s * k for s, k in zip(state, k1)))
-    k2 = f(s2, u)
-    s3 = State(*(s + 0.5 * dt_s * k for s, k in zip(state, k2)))
-    k3 = f(s3, u)
-    s4 = State(*(s + dt_s * k for s, k in zip(state, k3)))
-    k4 = f(s4, u)
-    return State(*(
-        s + dt_s / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for s, a, b, c, d in zip(state, k1, k2, k3, k4)))
+    """One classical Runge-Kutta step with the input held constant.
+
+    Stages are evaluated at ``s + h k`` (h = dt/2) and ``s + dt k``; the
+    result is ``s + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, summed left to right.
+    """
+    th, thd, x, xd = state
+    h = 0.5 * dt_s
+    a1, a2, a3, a4 = f(state, u)
+    b1, b2, b3, b4 = f(State(th + h * a1, thd + h * a2, x + h * a3, xd + h * a4), u)
+    c1, c2, c3, c4 = f(State(th + h * b1, thd + h * b2, x + h * b3, xd + h * b4), u)
+    d1, d2, d3, d4 = f(State(th + dt_s * c1, thd + dt_s * c2, x + dt_s * c3,
+                             xd + dt_s * c4), u)
+    w = dt_s / 6.0
+    return State(th + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                 thd + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                 x + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                 xd + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
 
 
 def make_derivative(params: PlantParams) -> Derivative:

@@ -3,7 +3,7 @@ import pytest
 
 from cartpend.plant import State
 from cartpend.scenario import build_controller, builtin_scenarios, effective_plant
-from cartpend.sim import run_closed_loop
+from cartpend.sim import CSV_HEADER, run_closed_loop
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,19 @@ def runs():
         return cache[name]
 
     return get
+
+
+_MALFORMED_CSV_BODIES = {
+    "ragged-rows": "0,0,0,0,0,0\n0,0,0,0,0,0,0,0\n",
+    "six-columns": "0,0,0,0,0,0\n0.001,0,0,0,0,0\n",
+    "header-only": "",
+    "non-numeric": "0,0,0,0,0,zero,0\n",
+    "trailing-comma": "0,0,0,0,0,0,0,\n",
+    "underscore-literal": "1_0,0,0,0,0,0,0\n",
+}
+
+
+@pytest.fixture(params=sorted(_MALFORMED_CSV_BODIES))
+def malformed_csv(request):
+    """Trajectory CSV text with the right header and a malformed body."""
+    return CSV_HEADER + "\n" + _MALFORMED_CSV_BODIES[request.param]

@@ -1,9 +1,11 @@
 """Command line interface: verbs, exit codes, output layout, reproducibility."""
 import os
+import warnings
 
 import pytest
 
 from cartpend.cli import main
+from cartpend.sim import CSV_HEADER
 
 SHORT_LQR = (
     "[scenario]\nname = quick-lqr\n\n"
@@ -164,6 +166,46 @@ def test_analyze_reference_override(tmp_path, capsys):
 
 def test_analyze_missing_csv_exits_2(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.csv")]) == 2
+
+
+def _one_row_csv(tmp_path):
+    return _write(tmp_path, "one.csv", CSV_HEADER + "\n0,0,0,0.3,0,0,0.3\n")
+
+
+@pytest.mark.parametrize("band", ["0", "1", "-0.5", "1.5", "nan", "inf"])
+def test_analyze_band_outside_unit_interval_exits_2(tmp_path, capsys, band):
+    assert main(["analyze", _one_row_csv(tmp_path), f"--band={band}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --band") and captured.out == ""
+
+
+@pytest.mark.parametrize("reference", ["nan", "inf", "-inf"])
+def test_analyze_non_finite_reference_exits_2(tmp_path, capsys, reference):
+    assert main(["analyze", _one_row_csv(tmp_path), f"--reference={reference}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --reference") and captured.out == ""
+
+
+def test_analyze_malformed_csv_exits_2_with_one_error_line(tmp_path, capsys,
+                                                           malformed_csv):
+    path = _write(tmp_path, "bad.csv", malformed_csv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["run", "lqr-gain", "analyze"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, verb):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(SHORT_LQR.replace("quick-lqr", "caf\xe9").encode("latin-1"))
+    argv = [verb, str(path)] + (["--out", str(tmp_path / "out")] if verb == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "utf-8" in err
 
 
 def test_lqr_gain_prints_gain_and_feedforward(tmp_path, capsys):

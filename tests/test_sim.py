@@ -1,5 +1,6 @@
 """Integrator order, determinism, disturbance, and fault-path tests."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cartpend.plant import PlantParams, State, linearize, mechanical_energy, nonlinear_derivative
 from cartpend.rng import SplitMix64
 from cartpend.sim import (
+    CSV_HEADER,
     MAX_STEPS,
     DisturbanceSpec,
     ReferenceSpec,
@@ -250,6 +252,86 @@ def test_csv_header_and_round_trip():
     assert np.allclose(back.states, traj.states, rtol=1e-14, atol=1e-18)
     assert np.allclose(back.inputs_N, traj.inputs_N, rtol=1e-14, atol=1e-18)
     assert np.allclose(back.references, traj.references, rtol=1e-14, atol=1e-18)
+
+
+def _csv_text_oracle(traj):
+    """The per-value writer the bulk writer replaced, kept as its reference."""
+    rows = [CSV_HEADER]
+    for k in range(len(traj.times_s)):
+        vals = (traj.times_s[k], *traj.states[k], traj.inputs_N[k], traj.references[k])
+        rows.append(",".join(format(v, ".15g") for v in vals))
+    return "\n".join(rows) + "\n"
+
+
+def _csv_parse_oracle(text):
+    """The per-value float() parser loadtxt replaced, kept as its reference."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
+def _edge_trajectory():
+    # more than one 4096-row chunk and not a multiple of it, with values
+    # spanning the double range and the edge values in every column
+    n = 2 * 4096 + 37
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((n, 7)) * 10.0 ** rng.integers(-300, 300, (n, 7))
+    edges = [-0.0, 5e-324, 1e16, -1e-300]
+    for i, row in enumerate((0, 4095, 4096, n - 1)):
+        table[row] = np.roll(edges * 2, i)[:7]
+    return Trajectory(times_s=table[:, 0], states=table[:, 1:5], inputs_N=table[:, 5],
+                      references=table[:, 6])
+
+
+def test_csv_writer_matches_the_per_value_oracle_byte_for_byte(runs):
+    for traj in (_edge_trajectory(), runs("cart-position-lqr-disturbance")[0]):
+        got = traj.to_csv_text().splitlines()
+        want = _csv_text_oracle(traj).splitlines()
+        # report the first differing line, not a diff of megabytes of text
+        wrong = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert wrong is None, (wrong, got[wrong], want[wrong])
+        assert len(got) == len(want)
+
+
+def test_csv_parser_matches_the_float_oracle_bit_for_bit(runs):
+    for traj in (_edge_trajectory(), runs("cart-position-lqr-disturbance")[0]):
+        text = traj.to_csv_text()
+        back = Trajectory.from_csv_text(text)
+        parsed = np.column_stack((back.times_s, back.states, back.inputs_N, back.references))
+        want = _csv_parse_oracle(text)
+        assert parsed.shape == want.shape
+        same = parsed.tobytes() == want.tobytes()
+        assert same, np.argwhere(parsed.view(np.uint64) != want.view(np.uint64))[:3]
+
+
+def test_malformed_csv_raises_value_error_without_warning(malformed_csv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            Trajectory.from_csv_text(malformed_csv)
+
+
+def _rk4_oracle(f, state, u, dt_s):
+    """The generator form rk4_step replaced, kept as its reference."""
+    k1 = f(state, u)
+    s2 = State(*(s + 0.5 * dt_s * k for s, k in zip(state, k1)))
+    k2 = f(s2, u)
+    s3 = State(*(s + 0.5 * dt_s * k for s, k in zip(state, k2)))
+    k3 = f(s3, u)
+    s4 = State(*(s + dt_s * k for s, k in zip(state, k3)))
+    k4 = f(s4, u)
+    return State(*(
+        s + dt_s / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for s, a, b, c, d in zip(state, k1, k2, k3, k4)))
+
+
+def test_rk4_step_matches_the_generator_form_bit_for_bit():
+    f = make_derivative(P)
+    s = oracle = State(2.0, 0.5, 0.1, -0.2)
+    for k in range(2000):
+        u = 5.0 * math.sin(0.01 * k)
+        s = rk4_step(f, s, u, 1e-3)
+        oracle = _rk4_oracle(f, oracle, u, 1e-3)
+        assert s == oracle
 
 
 def test_lqr_step_tracking_smoke():
