@@ -23,11 +23,9 @@ from .classic import (
 )
 from .fuzzy import (
     FuzzySystem,
-    MembershipFunction,
     fuzzy_infer,
     fuzzify,
     standard_fuzzy_system,
-    term_ladder,
 )
 from .hybrid import (
     AdaptiveParams,

@@ -1,64 +1,52 @@
-"""Two-input Mamdani-style inference with singleton centers.
+"""Two-input Mamdani-style inference on ladder term sets, singleton centers.
 
-Seven terms per input on a normalized universe: triangular interiors with
-peaks every 1/3, trapezoidal shoulders saturating beyond +/-1. Rule strength
-is the min of the two memberships, defuzzification is the weighted center
-average. The standard rule table is the usual anti-diagonal ladder
-``clamp(i + j - 3, 0, 6)``, which makes the control surface odd.
+Each input's terms form a ladder over strictly ascending peaks: term k
+grades 1 at its peak and falls linearly to 0 at the neighbouring peaks, and
+the two end terms hold 1 beyond the outer peaks. Adjacent grades sum to 1
+(a Ruspini partition), so at most two neighbouring terms grade any input
+above zero and inference visits at most 2x2 rules. Rule strength is the min
+of the two grades, defuzzification is the weighted center average. The
+standard system has seven terms per input with peaks every 1/3 on [-1, 1]
+and the anti-diagonal rule table ``clamp(i + j - 3, 0, 6)``, which makes
+the control surface odd.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Tuple
 
 
-@dataclass(frozen=True)
-class MembershipFunction:
-    kind: str
-    params: Tuple[float, ...]
+def fuzzify(peaks: Tuple[float, ...], v: float) -> Tuple[int, float, float]:
+    """Lower active term k of ``v`` on a ladder, and the grades of terms k, k + 1.
 
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
-        if self.kind == "triangular":
-            if len(self.params) != 3:
-                raise ValueError("triangular takes (foot, peak, foot)")
-            a, b, c = self.params
-            if not (a < b < c):
-                raise ValueError(f"triangular breakpoints must ascend, got {self.params}")
-        elif self.kind == "trapezoidal":
-            if len(self.params) != 4:
-                raise ValueError("trapezoidal takes (foot, shoulder, shoulder, foot)")
-            a, b, c, d = self.params
-            if not (a <= b <= c <= d):
-                raise ValueError(f"trapezoidal breakpoints must ascend, got {self.params}")
-        else:
-            raise ValueError(f"unknown membership kind {self.kind!r}")
-
-
-def fuzzify(term: MembershipFunction, v: float) -> float:
-    """Membership grade of ``v`` in one term."""
-    if term.kind == "triangular":
-        a, b, c = term.params
-        if v <= a or v >= c:
-            return 0.0
-        if v <= b:
-            return (v - a) / (b - a)
-        return (c - v) / (c - b)
-    a, b, c, d = term.params
-    if v < a or v > d:
-        return 0.0
-    if b <= v <= c:
-        return 1.0
-    if v < b:
-        return (v - a) / (b - a)
-    return (d - v) / (d - c)
+    Between peaks a = peaks[k] and b = peaks[k + 1] the grades are
+    (b - v) / (b - a) and (v - a) / (b - a). Below the first peak, or on or
+    beyond the last, the end term grades 1. Every other term grades 0.
+    ``v`` must not be NaN.
+    """
+    k = bisect_right(peaks, v) - 1
+    if k < 0:
+        return 0, 1.0, 0.0
+    last = len(peaks) - 1
+    if k == last:
+        return last - 1, 0.0, 1.0
+    a = peaks[k]
+    b = peaks[k + 1]
+    return k, (b - v) / (b - a), (v - a) / (b - a)
 
 
 @dataclass(frozen=True)
 class FuzzySystem:
-    input1_terms: Tuple[MembershipFunction, ...]
-    input2_terms: Tuple[MembershipFunction, ...]
+    """Ladder peaks per input, output centers, rule table and scales.
+
+    ``rule_table[i][j]`` indexes ``output_centers`` for input-1 term i and
+    input-2 term j. Peaks and centers are validated once and stored as
+    float tuples.
+    """
+    input1_peaks: Tuple[float, ...]
+    input2_peaks: Tuple[float, ...]
     output_centers: Tuple[float, ...]
     rule_table: Tuple[Tuple[int, ...], ...]
     input1_scale: float = 1.0
@@ -66,9 +54,22 @@ class FuzzySystem:
     output_scale: float = 1.0
 
     def __post_init__(self):
-        n1, n2 = len(self.input1_terms), len(self.input2_terms)
+        for name in ("input1_peaks", "input2_peaks"):
+            peaks = tuple(float(p) for p in getattr(self, name))
+            # finite positive gaps imply finite peaks and keep every grade's
+            # denominator finite, so some rule always fires
+            if len(peaks) < 3 or not all(0.0 < b - a < math.inf
+                                         for a, b in zip(peaks, peaks[1:])):
+                raise ValueError(f"{name} must be 3 or more finite values ascending "
+                                 f"by finite steps, got {peaks}")
+            object.__setattr__(self, name, peaks)
+        centers = tuple(float(c) for c in self.output_centers)
+        if not all(math.isfinite(c) for c in centers):
+            raise ValueError(f"output_centers must be finite, got {centers}")
+        object.__setattr__(self, "output_centers", centers)
+        n1, n2 = len(self.input1_peaks), len(self.input2_peaks)
         if len(self.rule_table) != n1 or any(len(row) != n2 for row in self.rule_table):
-            raise ValueError("rule table shape must match the term counts")
+            raise ValueError("rule table shape must match the peak counts")
         nc = len(self.output_centers)
         for row in self.rule_table:
             for idx in row:
@@ -78,18 +79,6 @@ class FuzzySystem:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive, got {v!r}")
-
-
-def term_ladder(peaks) -> Tuple[MembershipFunction, ...]:
-    """Seven-ish term set over ascending peaks: shoulders outside, triangles inside."""
-    peaks = [float(p) for p in peaks]
-    if len(peaks) < 3 or any(a >= b for a, b in zip(peaks, peaks[1:])):
-        raise ValueError(f"peaks must strictly ascend, got {peaks}")
-    terms = [MembershipFunction("trapezoidal", (-math.inf, -math.inf, peaks[0], peaks[1]))]
-    for k in range(1, len(peaks) - 1):
-        terms.append(MembershipFunction("triangular", (peaks[k - 1], peaks[k], peaks[k + 1])))
-    terms.append(MembershipFunction("trapezoidal", (peaks[-2], peaks[-1], math.inf, math.inf)))
-    return tuple(terms)
 
 
 STANDARD_PEAKS = tuple((k - 3) / 3.0 for k in range(7))
@@ -103,10 +92,9 @@ def ladder_rule_table(n: int) -> Tuple[Tuple[int, ...], ...]:
 def standard_fuzzy_system(input1_scale: float = 1.0, input2_scale: float = 1.0,
                           output_scale: float = 1.0) -> FuzzySystem:
     """The seven-term odd-symmetric system used by the hybrid channels."""
-    terms = term_ladder(STANDARD_PEAKS)
     return FuzzySystem(
-        input1_terms=terms,
-        input2_terms=terms,
+        input1_peaks=STANDARD_PEAKS,
+        input2_peaks=STANDARD_PEAKS,
         output_centers=STANDARD_PEAKS,
         rule_table=ladder_rule_table(7),
         input1_scale=input1_scale,
@@ -118,26 +106,28 @@ def standard_fuzzy_system(input1_scale: float = 1.0, input2_scale: float = 1.0,
 def fuzzy_infer(system: FuzzySystem, input1: float, input2: float) -> float:
     """Scaled inputs in, center-average output out.
 
-    The input scales multiply the raw inputs before fuzzification; the
-    output scale multiplies the defuzzified average. An all-zero rule
-    activation (impossible with shoulder terms) returns 0.
+    The input scales multiply the raw inputs before grading; the output
+    scale multiplies the defuzzified average. A NaN input gives NaN, so a
+    closed loop faults at that step.
     """
     v1 = input1 * system.input1_scale
     v2 = input2 * system.input2_scale
-    m1 = [fuzzify(t, v1) for t in system.input1_terms]
-    m2 = [fuzzify(t, v2) for t in system.input2_terms]
+    if v1 != v1 or v2 != v2:
+        return math.nan
+    k1, lo1, hi1 = fuzzify(system.input1_peaks, v1)
+    k2, lo2, hi2 = fuzzify(system.input2_peaks, v2)
+    centers = system.output_centers
     num = 0.0
     den = 0.0
-    for i, w1 in enumerate(m1):
+    # the nonzero grades in ascending term order, i then j, as a full
+    # table walk would visit them
+    for row, w1 in ((system.rule_table[k1], lo1), (system.rule_table[k1 + 1], hi1)):
         if w1 == 0.0:
             continue
-        row = system.rule_table[i]
-        for j, w2 in enumerate(m2):
+        for idx, w2 in ((row[k2], lo2), (row[k2 + 1], hi2)):
             w = w1 if w1 < w2 else w2
             if w == 0.0:
                 continue
-            num += w * system.output_centers[row[j]]
+            num += w * centers[idx]
             den += w
-    if den == 0.0:
-        return 0.0
     return system.output_scale * num / den

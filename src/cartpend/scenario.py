@@ -31,7 +31,7 @@ from .classic import (
     pid_position_topology,
     pid_simultaneous_topology,
 )
-from .fuzzy import STANDARD_PEAKS, FuzzySystem, ladder_rule_table, term_ladder
+from .fuzzy import STANDARD_PEAKS, FuzzySystem, ladder_rule_table
 from .hybrid import (
     AdaptiveParams,
     HybridChannel,
@@ -335,8 +335,8 @@ def _build_channel(cc: dict, prefix: str = "") -> HybridChannel:
     # hybrid-simultaneous configs have no fuzzy shape keys: the standard shape
     rules = ladder_rule_table(7)
     system = FuzzySystem(
-        input1_terms=term_ladder(cc.get("input1_peaks", STANDARD_PEAKS)),
-        input2_terms=term_ladder(cc.get("input2_peaks", STANDARD_PEAKS)),
+        input1_peaks=cc.get("input1_peaks", STANDARD_PEAKS),
+        input2_peaks=cc.get("input2_peaks", STANDARD_PEAKS),
         output_centers=cc.get("output_centers", STANDARD_PEAKS),
         rule_table=tuple(cc.get(f"rule_row{i}", row) for i, row in enumerate(rules)),
         input1_scale=cc[prefix + "input1_scale"],

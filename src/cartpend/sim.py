@@ -142,6 +142,11 @@ class Trajectory:
         data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
         if data.shape[1] != 7:
             raise ValueError("trajectory csv must have 7 columns")
+        # loadtxt also takes nan and inf, which a run never writes
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"trajectory csv data row {int(finite.argmin()) + 1} "
+                             f"has a non-finite value")
         return cls(times_s=data[:, 0], states=data[:, 1:5], inputs_N=data[:, 5],
                    references=data[:, 6])
 

@@ -36,6 +36,8 @@ _MALFORMED_CSV_BODIES = {
     "non-numeric": "0,0,0,0,0,zero,0\n",
     "trailing-comma": "0,0,0,0,0,0,0,\n",
     "underscore-literal": "1_0,0,0,0,0,0,0\n",
+    "nan": "0,0,0,0,0,0,0\n0.001,0,0,nan,0,0,0\n",
+    "inf": "0,0,0,0,0,0,inf\n",
 }
 
 

@@ -310,7 +310,8 @@ def test_criterion_5_fuzzy_engine():
     covered = True
     for i in range(201):
         v = -1.0 + 2.0 * i / 200
-        if sum(fuzzify(t, v) for t in sysd.input1_terms) <= 0.0:
+        _, w_lo, w_hi = fuzzify(sysd.input1_peaks, v)
+        if w_lo + w_hi <= 0.0:
             covered = False
     ok = worst <= 1e-12 and worst_odd <= 1e-12 and bounded and covered
     _report("5", ok, (

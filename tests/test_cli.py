@@ -132,6 +132,22 @@ def test_non_finite_initial_angle_exits_2(tmp_path, capsys, angle):
     assert not (out / "quick-lqr.csv").exists()
 
 
+@pytest.mark.parametrize("key, values", [
+    ("output_centers", "-1 -0.6 -0.3 nan 0.3 0.6 1"),
+    ("input2_peaks", "-inf -0.6 -0.3 0 0.3 0.6 inf"),
+    ("input1_peaks", "-1 -0.6 -0.3 nan 0.3 0.6 1"),
+], ids=["nan-center", "inf-peak", "nan-peak"])
+def test_non_finite_fuzzy_shape_exits_2(tmp_path, capsys, key, values):
+    text = (f"[scenario]\nname = shape\n\n[controller]\nkind = hybrid\n{key} = {values}\n\n"
+            "[sim]\nduration_s = 1\n")
+    cfg = _write(tmp_path, "a.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario shape: [controller] {key} ")
+    assert "diverged" not in err and not (out / "shape.csv").exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 2
 
