@@ -231,8 +231,14 @@ class _LqrLoop:
         self._eq = equilibrium
 
     def step(self, reference: float, state: State, dt_s: float) -> float:
-        dev = State(*(s - e for s, e in zip(state, self._eq)))
-        return lqr_control(self._ctrl, reference, dev)
+        # lqr_control on the deviation, without building it as a State or an
+        # array. The gain product stays np.dot: BLAS ddot may fuse its
+        # multiply-adds, so a Python sum would not give the same bits.
+        th, thd, x, xd = state
+        e_th, e_thd, e_x, e_xd = self._eq
+        ctrl = self._ctrl
+        return float(ctrl.n_scale * reference
+                     - float(np.dot(ctrl.k_gain, (th - e_th, thd - e_thd, x - e_x, xd - e_xd))))
 
 
 def lqr_topology(ctrl: LqrController,

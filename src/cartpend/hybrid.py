@@ -44,20 +44,25 @@ class ReferenceModel:
 
 
 def reference_model_step(model: ReferenceModel, r: float, dt_s: float) -> float:
-    """Advance ydd = w^2 (r - y) - 2 z w yd one step; returns the new y."""
+    """Advance ydd = w^2 (r - y) - 2 z w yd one step; returns the new y.
+
+    Classical RK4 on (y, yd): stages at ``+ h k`` (h = dt/2) and ``+ dt k``,
+    then ``+ (dt/6) (k1 + 2 k2 + 2 k3 + k4)`` summed left to right.
+    """
     w2 = model.natural_frequency_rads * model.natural_frequency_rads
     tz = 2.0 * model.damping_ratio * model.natural_frequency_rads
     y, yd = model.y, model.y_dot
-
-    def f(y_, yd_):
-        return yd_, w2 * (r - y_) - tz * yd_
-
-    k1 = f(y, yd)
-    k2 = f(y + 0.5 * dt_s * k1[0], yd + 0.5 * dt_s * k1[1])
-    k3 = f(y + 0.5 * dt_s * k2[0], yd + 0.5 * dt_s * k2[1])
-    k4 = f(y + dt_s * k3[0], yd + dt_s * k3[1])
-    model.y = y + dt_s / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    model.y_dot = yd + dt_s / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    h = 0.5 * dt_s
+    a1 = w2 * (r - y) - tz * yd
+    yd2 = yd + h * a1
+    a2 = w2 * (r - (y + h * yd)) - tz * yd2
+    yd3 = yd + h * a2
+    a3 = w2 * (r - (y + h * yd2)) - tz * yd3
+    yd4 = yd + dt_s * a3
+    a4 = w2 * (r - (y + dt_s * yd3)) - tz * yd4
+    w = dt_s / 6.0
+    model.y = y + w * (yd + 2.0 * yd2 + 2.0 * yd3 + yd4)
+    model.y_dot = yd + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return model.y
 
 
@@ -105,10 +110,15 @@ def mit_rule_update(theta, params: AdaptiveParams, e_model: float, y: float,
     """
     t1, t2, t3, tp = theta
     step = e_model * y * dt_s
-    raw = (t1 - params.gamma_p * step,
-           t2 - params.gamma_i * step,
-           t3 - params.gamma_d * step,
-           tp - params.gamma_prime * e_model * y_model_filtered * dt_s)
+    r1 = t1 - params.gamma_p * step
+    r2 = t2 - params.gamma_i * step
+    r3 = t3 - params.gamma_d * step
+    rp = tp - params.gamma_prime * e_model * y_model_filtered * dt_s
+    raw = (r1, r2, r3, rp)
+    lo = -bound
+    # inside the box nothing is clipped; a NaN fails these tests and is boxed below
+    if lo <= r1 <= bound and lo <= r2 <= bound and lo <= r3 <= bound and lo <= rp <= bound:
+        return raw, []
     boxed = tuple(min(max(v, -bound), bound) for v in raw)
     return boxed, [name for name, v, b in zip(_THETA_NAMES, raw, boxed) if v != b]
 

@@ -65,25 +65,44 @@ class SystemAssessment:
     open_loop_poles: tuple
 
 
-def nonlinear_derivative(params: PlantParams, state: State, force_N: float) -> State:
-    """Exact state derivative under a horizontal cart force.
+def make_derivative(params: PlantParams):
+    """The field ``f(state, force) -> (thd, thdd, xd, xdd)`` of one plant.
 
-    Inputs are not checked here: ``run_closed_loop`` checks the force and
-    the state once per step, not at every RK4 stage.
+    Reads ``params`` once and keeps the constant products ``l (M + m)``,
+    ``m l``, ``(M + m) g`` and ``m g``. Each is the left-most product in the
+    module docstring's equations, evaluated left to right, so keeping it
+    changes no bit of the result. Inputs are not checked here:
+    ``run_closed_loop`` checks the force and the state once per step, not at
+    every RK4 stage.
     """
     m_cart = params.cart_mass_kg
     m_bob = params.bob_mass_kg
     length = params.pendulum_length_m
     g = params.gravity_ms2
+    l_total = length * (m_cart + m_bob)
+    ml = m_bob * length
+    total_g = (m_cart + m_bob) * g
+    mg = m_bob * g
+    sin = math.sin
+    cos = math.cos
 
-    th, thd, _, xd = state
-    sin_th = math.sin(th)
-    cos_th = math.cos(th)
-    den = length * (m_cart + m_bob) - m_bob * length * cos_th * cos_th
-    centripetal = force_N - m_bob * length * thd * thd * sin_th
-    thetadd = ((m_cart + m_bob) * g * sin_th + cos_th * centripetal) / den
-    xdd = length * (centripetal + m_bob * g * sin_th * cos_th) / den
-    return State(thd, thetadd, xd, xdd)
+    def field(state, force_N: float) -> tuple:
+        th, thd, _, xd = state
+        sin_th = sin(th)
+        cos_th = cos(th)
+        den = l_total - ml * cos_th * cos_th
+        centripetal = force_N - ml * thd * thd * sin_th
+        return (thd,
+                (total_g * sin_th + cos_th * centripetal) / den,
+                xd,
+                length * (centripetal + mg * sin_th * cos_th) / den)
+
+    return field
+
+
+def nonlinear_derivative(params: PlantParams, state: State, force_N: float) -> State:
+    """Exact state derivative under a horizontal cart force."""
+    return State._make(make_derivative(params)(state, force_N))
 
 
 def mechanical_energy(params: PlantParams, state: State) -> float:

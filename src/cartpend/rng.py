@@ -3,7 +3,8 @@
 The stdlib Mersenne generator would work, but its state is large and its
 float path has changed across CPython versions in the past. This generator
 is a dozen lines of fixed integer arithmetic, so identical seeds give
-identical byte-level trajectories on every platform.
+identical draws on every platform (README "Determinism" says what else a
+trajectory's bits depend on).
 """
 
 _MASK = (1 << 64) - 1

@@ -243,20 +243,21 @@ def parse_scenario(text: str) -> Scenario:
 
     sim_vals = _read_section(cp, "sim", _SIM_KEYS)
     duration = sim_vals["duration_s"]
-    dist_args = {}
+    try:
+        reference = ReferenceSpec(amplitude=sim_vals["reference_amplitude"],
+                                  step_time_s=sim_vals["reference_step_time_s"])
+        sim = SimConfig(dt_s=sim_vals["dt_s"], duration_s=duration, reference=reference,
+                        seed=sim_vals["seed"], force_limit_N=sim_vals["force_limit_N"])
+    except ValueError as exc:
+        raise ConfigError(f"[sim] {exc}") from None
     if cp.has_section("disturbance") or meta["condition"] == "disturbance":
         dist_args = _read_section(cp, "disturbance", _DISTURBANCE_KEYS)
         if dist_args["end_s"] is None:
             dist_args["end_s"] = duration
-    try:
-        disturbance = DisturbanceSpec(**dist_args)
-        reference = ReferenceSpec(amplitude=sim_vals["reference_amplitude"],
-                                  step_time_s=sim_vals["reference_step_time_s"])
-        sim = SimConfig(dt_s=sim_vals["dt_s"], duration_s=duration,
-                        reference=reference, disturbance=disturbance,
-                        seed=sim_vals["seed"], force_limit_N=sim_vals["force_limit_N"])
-    except ValueError as exc:
-        raise ConfigError(f"[sim] {exc}") from None
+        try:
+            sim = replace(sim, disturbance=DisturbanceSpec(**dist_args))
+        except ValueError as exc:
+            raise ConfigError(f"[disturbance] {exc}") from None
 
     return Scenario(name=meta["name"], condition=meta["condition"], plant=plant,
                     controller_kind=kind, controller_config=controller_config,

@@ -14,16 +14,18 @@ trajectory byte for byte.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .plant import PlantParams, State, nonlinear_derivative
+from .plant import PlantParams, State, make_derivative
 from .rng import SplitMix64
 
-Derivative = Callable[[State, float], State]
+# f(state, force) -> the four state rates, as a State or a plain tuple
+Derivative = Callable[[State, float], tuple]
 
 CSV_HEADER = "t,theta,theta_dot,x,x_dot,u,ref"
 
@@ -32,6 +34,9 @@ CSV_HEADER = "t,theta,theta_dot,x,x_dot,u,ref"
 MAX_STEPS = 1_000_000
 
 _CSV_CHUNK_ROWS = 4096
+
+# State from a 4-tuple without the Python-level namedtuple constructor
+_state = functools.partial(tuple.__new__, State)
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,16 @@ class DisturbanceSpec:
 
     def __post_init__(self):
         if self.kind not in ("none", "uniform_noise"):
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+            raise ValueError(f"kind must be 'none' or 'uniform_noise', got {self.kind!r}")
         if not (math.isfinite(self.amplitude_N) and self.amplitude_N >= 0.0):
             raise ValueError(f"amplitude_N must be >= 0, got {self.amplitude_N!r}")
+        # a NaN bound fails both window tests, so it would draw on every step
+        for name in ("start_s", "end_s"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         if self.start_s > self.end_s:
-            raise ValueError(
-                f"empty disturbance window [{self.start_s}, {self.end_s}]")
+            raise ValueError(f"end_s must be >= start_s, got an empty window "
+                             f"[{self.start_s}, {self.end_s}]")
 
 
 @dataclass(frozen=True)
@@ -169,22 +178,15 @@ def rk4_step(f: Derivative, state: State, u: float, dt_s: float) -> State:
     th, thd, x, xd = state
     h = 0.5 * dt_s
     a1, a2, a3, a4 = f(state, u)
-    b1, b2, b3, b4 = f(State(th + h * a1, thd + h * a2, x + h * a3, xd + h * a4), u)
-    c1, c2, c3, c4 = f(State(th + h * b1, thd + h * b2, x + h * b3, xd + h * b4), u)
-    d1, d2, d3, d4 = f(State(th + dt_s * c1, thd + dt_s * c2, x + dt_s * c3,
-                             xd + dt_s * c4), u)
+    b1, b2, b3, b4 = f(_state((th + h * a1, thd + h * a2, x + h * a3, xd + h * a4)), u)
+    c1, c2, c3, c4 = f(_state((th + h * b1, thd + h * b2, x + h * b3, xd + h * b4)), u)
+    d1, d2, d3, d4 = f(_state((th + dt_s * c1, thd + dt_s * c2, x + dt_s * c3,
+                               xd + dt_s * c4)), u)
     w = dt_s / 6.0
-    return State(th + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                 thd + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-                 x + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-                 xd + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
-
-
-def make_derivative(params: PlantParams) -> Derivative:
-    """Bind plant parameters into an ``f(state, force)`` field for rk4_step."""
-    def f(state: State, u: float) -> State:
-        return nonlinear_derivative(params, state, u)
-    return f
+    return _state((th + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                   thd + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                   x + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                   xd + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4)))
 
 
 def disturbance_sample(spec: DisturbanceSpec, t_s: float, rng: SplitMix64) -> float:
@@ -219,6 +221,10 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
 
     rng = SplitMix64(config.seed)
     f = make_derivative(params)
+    control = controller.step
+    disturbance = config.disturbance
+    lim = config.force_limit_N
+    isfinite = math.isfinite
     s = initial_state
 
     def partial(k):
@@ -226,19 +232,18 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
                           inputs_N=inputs[:k + 1].copy(), references=refs[:k + 1].copy())
 
     for k in range(n):
-        u = controller.step(float(refs[k]), s, dt)
-        u = u + disturbance_sample(config.disturbance, float(times[k]), rng)
-        if config.force_limit_N is not None:
-            lim = config.force_limit_N
+        u = control(float(refs[k]), s, dt)
+        u = u + disturbance_sample(disturbance, float(times[k]), rng)
+        if lim is not None:
             u = lim if u > lim else (-lim if u < -lim else u)
-        if not math.isfinite(u):
+        if not isfinite(u):
             raise SimulationFault(k, partial(k))
         inputs[k] = u
         try:
             s_next = rk4_step(f, s, u, dt)
         except (ValueError, OverflowError, FloatingPointError):
             raise SimulationFault(k, partial(k)) from None
-        if not all(map(math.isfinite, s_next)):
+        if not all(map(isfinite, s_next)):
             raise SimulationFault(k, partial(k))
         s = s_next
         states[k + 1] = s

@@ -201,6 +201,19 @@ def test_lqr_control_arithmetic():
     assert lqr_control(ctrl2, 2.0, State(0, 0, 0, 0)) == 6.0
 
 
+@pytest.mark.parametrize("theta_e", [0.0, math.pi], ids=["upright", "hanging"])
+def test_lqr_loop_step_matches_lqr_control_on_the_deviation_bit_for_bit(theta_e):
+    ctrl = lqr_synthesize(linearize_at(P, theta_e), LqrWeights(), 2)
+    eq = State(theta_e, 0.0, 0.0, 0.0)
+    loop = lqr_topology(ctrl, equilibrium=eq)
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(-1.0, 1.0, (20000, 5)) * [4.0, 30.0, 5.0, 10.0, 2.0]
+    for th, thd, x, xd, r in rows.tolist():
+        s = State(th + theta_e, thd, x, xd)
+        want = lqr_control(ctrl, r, State(*(v - e for v, e in zip(s, eq))))
+        assert loop.step(r, s, 1e-3).hex() == want.hex()
+
+
 def test_lqr_topology_equilibrium_offset():
     ctrl = lqr_synthesize(linearize_at(P, math.pi), LqrWeights(), 2)
     loop = lqr_topology(ctrl, equilibrium=State(math.pi, 0.0, 0.0, 0.0))

@@ -148,6 +148,17 @@ def test_non_finite_fuzzy_shape_exits_2(tmp_path, capsys, key, values):
     assert "diverged" not in err and not (out / "shape.csv").exists()
 
 
+@pytest.mark.parametrize("key,value", [("amplitude_N", "-1"), ("start_s", "nan"),
+                                       ("end_s", "nan")])
+def test_bad_disturbance_bound_exits_2_naming_its_section(tmp_path, capsys, key, value):
+    cfg = _write(tmp_path, "a.ini", SHORT_LQR + f"\n[disturbance]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: [disturbance] {key} ")
+    assert not (out / "quick-lqr.csv").exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 2
 

@@ -76,6 +76,40 @@ def test_reference_model_unit_dc_gain():
     assert y == pytest.approx(1.0, abs=1e-6)
 
 
+def _reference_model_oracle(model, r, dt_s):
+    """The closure form reference_model_step replaced, kept as its reference."""
+    w2 = model.natural_frequency_rads * model.natural_frequency_rads
+    tz = 2.0 * model.damping_ratio * model.natural_frequency_rads
+    y, yd = model.y, model.y_dot
+
+    def f(y_, yd_):
+        return yd_, w2 * (r - y_) - tz * yd_
+
+    k1 = f(y, yd)
+    k2 = f(y + 0.5 * dt_s * k1[0], yd + 0.5 * dt_s * k1[1])
+    k3 = f(y + 0.5 * dt_s * k2[0], yd + 0.5 * dt_s * k2[1])
+    k4 = f(y + dt_s * k3[0], yd + dt_s * k3[1])
+    model.y = y + dt_s / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    model.y_dot = yd + dt_s / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    return model.y
+
+
+def test_reference_model_step_matches_the_closure_form_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for w, z, r, y, yd, dt in zip(rng.uniform(0.1, 20.0, 20000), rng.uniform(0.0, 2.0, 20000),
+                                  rng.uniform(-5.0, 5.0, 20000), rng.uniform(-5.0, 5.0, 20000),
+                                  rng.uniform(-20.0, 20.0, 20000),
+                                  rng.choice([1e-4, 1e-3, 2e-3, 1e-2], 20000)
+                                  * rng.uniform(0.5, 1.5, 20000)):
+        new, old = ReferenceModel(w, z), ReferenceModel(w, z)
+        new.y = old.y = float(y)
+        new.y_dot = old.y_dot = float(yd)
+        got = reference_model_step(new, float(r), float(dt))
+        want = _reference_model_oracle(old, float(r), float(dt))
+        assert [v.hex() for v in (got, new.y, new.y_dot)] == \
+            [v.hex() for v in (want, old.y, old.y_dot)]
+
+
 def test_reference_model_validation():
     with pytest.raises(ValueError):
         ReferenceModel(0.0, 0.9)
@@ -118,6 +152,48 @@ def test_mit_rule_safety_box_clamps():
     q, clamped = mit_rule_update(theta, p, -1.0, 1.0, 1.0, 1.0, 100.0)
     assert q[0] == 100.0
     assert clamped == ["theta1"]
+
+
+def _mit_rule_oracle(theta, params, e_model, y, y_model_filtered, dt_s, bound):
+    """The generator form mit_rule_update replaced, kept as its reference."""
+    t1, t2, t3, tp = theta
+    step = e_model * y * dt_s
+    raw = (t1 - params.gamma_p * step,
+           t2 - params.gamma_i * step,
+           t3 - params.gamma_d * step,
+           tp - params.gamma_prime * e_model * y_model_filtered * dt_s)
+    boxed = tuple(min(max(v, -bound), bound) for v in raw)
+    return boxed, [name for name, v, b in zip(
+        ("theta1", "theta2", "theta3", "theta_prime"), raw, boxed) if v != b]
+
+
+def _mit_rule_cases():
+    rng = np.random.default_rng(11)
+    p = AdaptiveParams(gamma_p=0.3, gamma_i=0.02, gamma_d=1.5, gamma_prime=0.7)
+    b = 2.0
+    # on the box edges (no step), outside them, and NaN in each input
+    yield (b, -b, 0.5, -b), p, 0.0, 1.0, 1.0, 0.01, b
+    yield (-b, b, -0.0, b), p, 0.0, 1.0, 1.0, 0.01, b
+    yield (3.0, -3.0, 0.0, 1.0), p, 0.0, 1.0, 1.0, 0.01, b
+    yield (1.9, 0.0, -1.9, 0.0), p, 50.0, 1.0, -1.0, 0.1, b
+    for i in range(4):
+        yield UNIT_THETA[:i] + (math.nan,) + UNIT_THETA[i + 1:], p, 0.1, 1.0, 1.0, 0.01, b
+    yield UNIT_THETA, p, math.nan, 1.0, 1.0, 0.01, b
+    yield UNIT_THETA, p, 0.1, 1.0, math.nan, 0.01, b
+    yield (1.0, 1.0, 1.0, math.inf), p, 0.1, 1.0, 1.0, 0.01, b
+    for row in rng.uniform(-1.0, 1.0, (20000, 8)) * [2.5, 2.5, 2.5, 2.5, 5.0, 5.0, 5.0, 0.05]:
+        yield tuple(row[:4].tolist()), p, *row[4:].tolist(), b
+
+
+def test_mit_rule_matches_the_generator_form_bit_for_bit():
+    clipped = 0
+    for args in _mit_rule_cases():
+        got, got_names = mit_rule_update(*args)
+        want, want_names = _mit_rule_oracle(*args)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert got_names == want_names
+        clipped += bool(want_names)
+    assert clipped >= 100  # the random draws cross the box too
 
 
 def test_adaptive_params_reject_negative_rates():

@@ -11,6 +11,7 @@ from cartpend.plant import (
     assess,
     linearize,
     linearize_at,
+    make_derivative,
     mechanical_energy,
     nonlinear_derivative,
 )
@@ -214,3 +215,45 @@ def test_energy_rate_equals_force_power(th, thd, xd, f):
                -eps * d.x_m, xd - eps * d.x_dot_ms)
     de = (mechanical_energy(P, sp) - mechanical_energy(P, sm)) / (2 * eps)
     assert de == pytest.approx(f * xd, abs=1e-4 + 1e-4 * abs(f * xd))
+
+
+def _derivative_oracle(params, state, force_N):
+    """The nonlinear_derivative body before the field was bound once, kept as its reference."""
+    m_cart = params.cart_mass_kg
+    m_bob = params.bob_mass_kg
+    length = params.pendulum_length_m
+    g = params.gravity_ms2
+
+    th, thd, _, xd = state
+    sin_th = math.sin(th)
+    cos_th = math.cos(th)
+    den = length * (m_cart + m_bob) - m_bob * length * cos_th * cos_th
+    centripetal = force_N - m_bob * length * thd * thd * sin_th
+    thetadd = ((m_cart + m_bob) * g * sin_th + cos_th * centripetal) / den
+    xdd = length * (centripetal + m_bob * g * sin_th * cos_th) / den
+    return State(thd, thetadd, xd, xdd)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("scenario", [None, "cart-position-lqr-parameter-variation",
+                                      "simultaneous-lqr-parameter-variation"])
+def test_bound_field_matches_the_unbound_body_bit_for_bit(scenario):
+    # the nominal plant and the two parameter-variation plants of the study
+    from cartpend.scenario import builtin_scenarios, effective_plant
+
+    params = P if scenario is None else effective_plant(builtin_scenarios()[scenario])
+    field = make_derivative(params)
+    rng = np.random.default_rng(20261018)
+    scale = np.array([4.0, 30.0, 5.0, 10.0, 50.0])
+    samples = [(0.0, -0.0, 0.0, -0.0, -0.0), (math.pi, 0.0, 1.0, 0.0, 0.0),
+               (-0.0, 0.0, 0.0, 0.0, 1e300), (1e-300, -1e-300, 0.0, 5e-324, -5e-324)]
+    samples += [tuple(row) for row in rng.uniform(-1.0, 1.0, (20000, 5)) * scale]
+    for th, thd, x, xd, force in samples:
+        s = State(th, thd, x, xd)
+        expected = _hex(_derivative_oracle(params, s, force))
+        assert _hex(field(s, force)) == expected
+        d = nonlinear_derivative(params, s, force)
+        assert type(d) is State and _hex(d) == expected

@@ -225,6 +225,9 @@ def test_config_validation():
         DisturbanceSpec("uniform_noise", 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         DisturbanceSpec("sinusoid", 1.0, 0.0, 1.0)
+    for bounds in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="must be a number"):
+            DisturbanceSpec("uniform_noise", 0.5, *bounds)
 
 
 def test_trajectory_shape_and_times():
