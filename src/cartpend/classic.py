@@ -10,6 +10,7 @@ independent cross-check.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
@@ -50,6 +51,10 @@ class PidState(NamedTuple):
     derivative_filter_state: float = 0.0
 
 
+# PidState from a 3-tuple without the Python-level namedtuple constructor
+_pid_state = functools.partial(tuple.__new__, PidState)
+
+
 def pid_step(gains: PidGains, state: PidState, error: float,
              dt_s: float) -> Tuple[float, PidState]:
     """One PID update: trapezoidal integral, filtered backward difference.
@@ -66,7 +71,7 @@ def pid_step(gains: PidGains, state: PidState, error: float,
     else:
         derivative = raw
     u = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    return u, PidState(integral, error, derivative)
+    return u, _pid_state((integral, error, derivative))
 
 
 # ---------------------------------------------------------------- CARE / LQR
@@ -260,6 +265,7 @@ class _CascadeLoop:
     def __init__(self, position_gains: PidGains, velocity_gains: PidGains):
         self._pos_g = position_gains
         self._vel_g = velocity_gains
+        self._inner_off = not (velocity_gains.kp or velocity_gains.ki or velocity_gains.kd)
         self._pos_s = None
         self._vel_s = None
 
@@ -268,13 +274,12 @@ class _CascadeLoop:
         if self._pos_s is None:
             self._pos_s = PidState(0.0, e_pos, 0.0)
         v_cmd, self._pos_s = pid_step(self._pos_g, self._pos_s, e_pos, dt_s)
-        vg = self._vel_g
-        if vg.kp == 0.0 and vg.ki == 0.0 and vg.kd == 0.0:
+        if self._inner_off:
             return v_cmd
         e_vel = v_cmd - state.x_dot_ms
         if self._vel_s is None:
             self._vel_s = PidState(0.0, e_vel, 0.0)
-        u, self._vel_s = pid_step(vg, self._vel_s, e_vel, dt_s)
+        u, self._vel_s = pid_step(self._vel_g, self._vel_s, e_vel, dt_s)
         return u
 
 

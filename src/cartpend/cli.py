@@ -26,7 +26,7 @@ import numpy as np
 from .metrics import overshoot_pct, settling_time, steady_state_error, summarize
 from .repro import run_comparison
 from .scenario import ConfigError, lqr_design, parse_scenario, run_scenario
-from .sim import SimulationFault, Trajectory
+from .sim import SEED_LIMIT, SimulationFault, Trajectory
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,6 +78,9 @@ def _load_scenario(path: str):
 
 
 def _cmd_run(args) -> int:
+    if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
+        print(f"error: --seed must be in [0, 2**64), got {args.seed}", file=sys.stderr)
+        return 2
     scenarios = []
     for path in args.configs:
         s = _load_scenario(path)

@@ -29,7 +29,7 @@ from .plant import State
 class ReferenceModel:
     """Second-order unit-DC-gain target response, advanced by RK4."""
 
-    __slots__ = ("natural_frequency_rads", "damping_ratio", "y", "y_dot")
+    __slots__ = ("natural_frequency_rads", "damping_ratio", "_w2", "_tz", "y", "y_dot")
 
     def __init__(self, natural_frequency_rads: float, damping_ratio: float):
         if not (math.isfinite(natural_frequency_rads) and natural_frequency_rads > 0.0):
@@ -39,6 +39,9 @@ class ReferenceModel:
             raise ValueError(f"damping_ratio must be >= 0, got {damping_ratio!r}")
         self.natural_frequency_rads = natural_frequency_rads
         self.damping_ratio = damping_ratio
+        # the step's w^2 and 2 z w, the same expressions evaluated once
+        self._w2 = natural_frequency_rads * natural_frequency_rads
+        self._tz = 2.0 * damping_ratio * natural_frequency_rads
         self.y = 0.0
         self.y_dot = 0.0
 
@@ -49,8 +52,8 @@ def reference_model_step(model: ReferenceModel, r: float, dt_s: float) -> float:
     Classical RK4 on (y, yd): stages at ``+ h k`` (h = dt/2) and ``+ dt k``,
     then ``+ (dt/6) (k1 + 2 k2 + 2 k3 + k4)`` summed left to right.
     """
-    w2 = model.natural_frequency_rads * model.natural_frequency_rads
-    tz = 2.0 * model.damping_ratio * model.natural_frequency_rads
+    w2 = model._w2
+    tz = model._tz
     y, yd = model.y, model.y_dot
     h = 0.5 * dt_s
     a1 = w2 * (r - y) - tz * yd
@@ -154,6 +157,10 @@ class HybridChannel:
         self.natural_frequency_rads = natural_frequency_rads
         self.damping_ratio = damping_ratio
         self._adaptive = adaptive
+        # the gains as plain floats, read once here rather than on every step
+        self._kp, self._ki, self._kd = channel_gains.kp, channel_gains.ki, channel_gains.kd
+        self._tau = channel_gains.filter_tau_s
+        self._cp, self._ci, self._cd = crisp_gains.kp, crisp_gains.ki, crisp_gains.kd
         self.reset()
 
     def reset(self):
@@ -176,37 +183,36 @@ class HybridChannel:
         e_model = y - y_model
         y_model_filtered = reference_model_step(self._model_filter, y_model, dt_s)
 
-        self.theta, clamped = mit_rule_update(self.theta, self._adaptive, e_model, y,
-                                              y_model_filtered, dt_s, self.safety_bound)
+        theta, clamped = mit_rule_update(self.theta, self._adaptive, e_model, y,
+                                         y_model_filtered, dt_s, self.safety_bound)
+        self.theta = theta
         for name in clamped:
             self.clamp_events.append((self._steps, name))
 
-        lam1, lam2, lam3 = lambda_signals(self.theta, r, y)
-        if self._first:
-            self._lambda2_prev = lam2
-            self._lambda3_prev = lam3
-        self._lambda_integral += dt_s * (lam2 + self._lambda2_prev) / 2.0
-        self._lambda2_prev = lam2
-        raw_rate = 0.0 if self._first else (lam3 - self._lambda3_prev) / dt_s
-        self._lambda3_prev = lam3
-        tau = self.channel_gains.filter_tau_s
-        self._derivative_filter += dt_s / (tau + dt_s) * (raw_rate - self._derivative_filter)
-
-        g = self.channel_gains
-        pi_input = g.kp * lam1 + g.ki * self._lambda_integral
-        d_input = g.kd * self._derivative_filter
-        u_fuzzy = fuzzy_infer(self.fuzzy_system, pi_input, d_input)
-
+        lam1, lam2, lam3 = lambda_signals(theta, r, y)
         e = r - y
         if self._first:
-            self._error_prev = e
+            # prime the histories so the first step has no derivative kick
             self._first = False
-        self._error_integral += dt_s * (e + self._error_prev) / 2.0
-        self._error_prev = e
+            lam2_prev, e_prev, raw_rate = lam2, e, 0.0
+        else:
+            lam2_prev, e_prev = self._lambda2_prev, self._error_prev
+            raw_rate = (lam3 - self._lambda3_prev) / dt_s
+        lam_integral = self._lambda_integral + dt_s * (lam2 + lam2_prev) / 2.0
+        dfilt = self._derivative_filter
+        dfilt += dt_s / (self._tau + dt_s) * (raw_rate - dfilt)
+        u_fuzzy = fuzzy_infer(self.fuzzy_system, self._kp * lam1 + self._ki * lam_integral,
+                              self._kd * dfilt)
+        e_integral = self._error_integral + dt_s * (e + e_prev) / 2.0
 
-        c = self.crisp_gains
+        self._lambda_integral = lam_integral
+        self._lambda2_prev = lam2
+        self._lambda3_prev = lam3
+        self._derivative_filter = dfilt
+        self._error_integral = e_integral
+        self._error_prev = e
         self._steps += 1
-        return u_fuzzy + c.kp * e + c.ki * self._error_integral + c.kd * edot
+        return u_fuzzy + self._cp * e + self._ci * e_integral + self._cd * edot
 
 
 class _HybridPositionLoop:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -24,14 +25,18 @@ import numpy as np
 from .plant import PlantParams, State, make_derivative
 from .rng import SplitMix64
 
-# f(state, force) -> the four state rates, as a State or a plain tuple
-Derivative = Callable[[State, float], tuple]
+# f(state, force) -> the four state rates. ``state`` is any 4-sequence (RK4's
+# inner stages are plain tuples): f unpacks or indexes it, never reads State fields.
+Derivative = Callable[[tuple, float], tuple]
 
 CSV_HEADER = "t,theta,theta_dot,x,x_dot,u,ref"
 
 # Largest run length SimConfig admits: 1000 s at the default 1 ms step. It
 # bounds the memory a run takes; the longest built-in run is 120,000 steps.
 MAX_STEPS = 1_000_000
+
+# SplitMix64 keeps 64 bits of a seed, so one outside [0, 2**64) would alias
+SEED_LIMIT = 1 << 64
 
 _CSV_CHUNK_ROWS = 4096
 
@@ -102,6 +107,8 @@ class SimConfig:
             raise ValueError(
                 f"duration_s = {self.duration_s} is not an integer number of "
                 f"dt_s = {self.dt_s} steps")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
         if self.force_limit_N is not None and not (
                 math.isfinite(self.force_limit_N) and self.force_limit_N > 0.0):
             raise ValueError(f"force_limit_N must be positive, got {self.force_limit_N!r}")
@@ -174,14 +181,14 @@ def rk4_step(f: Derivative, state: State, u: float, dt_s: float) -> State:
 
     Stages are evaluated at ``s + h k`` (h = dt/2) and ``s + dt k``; the
     result is ``s + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, summed left to right.
+    The inner stages reach ``f`` as plain tuples; the result is a State.
     """
     th, thd, x, xd = state
     h = 0.5 * dt_s
     a1, a2, a3, a4 = f(state, u)
-    b1, b2, b3, b4 = f(_state((th + h * a1, thd + h * a2, x + h * a3, xd + h * a4)), u)
-    c1, c2, c3, c4 = f(_state((th + h * b1, thd + h * b2, x + h * b3, xd + h * b4)), u)
-    d1, d2, d3, d4 = f(_state((th + dt_s * c1, thd + dt_s * c2, x + dt_s * c3,
-                               xd + dt_s * c4)), u)
+    b1, b2, b3, b4 = f((th + h * a1, thd + h * a2, x + h * a3, xd + h * a4), u)
+    c1, c2, c3, c4 = f((th + h * b1, thd + h * b2, x + h * b3, xd + h * b4), u)
+    d1, d2, d3, d4 = f((th + dt_s * c1, thd + dt_s * c2, x + dt_s * c3, xd + dt_s * c4), u)
     w = dt_s / 6.0
     return _state((th + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
                    thd + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
@@ -215,38 +222,44 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
     times = np.arange(n + 1) * dt
     refs = np.where(times >= config.reference.step_time_s,
                     config.reference.amplitude, 0.0)
-    states = np.empty((n + 1, 4))
-    inputs = np.zeros(n + 1)
-    states[0] = initial_state
+    log = array("d", initial_state)
+    forces = array("d")
 
     rng = SplitMix64(config.seed)
     f = make_derivative(params)
     control = controller.step
     disturbance = config.disturbance
+    quiet = disturbance.kind == "none"
     lim = config.force_limit_N
     isfinite = math.isfinite
     s = initial_state
 
-    def partial(k):
-        return Trajectory(times_s=times[:k + 1].copy(), states=states[:k + 1].copy(),
-                          inputs_N=inputs[:k + 1].copy(), references=refs[:k + 1].copy())
+    def fault(k):
+        # a force fault logged no force for step k, so it reads 0
+        inputs = np.zeros(k + 1)
+        inputs[:len(forces)] = forces
+        return SimulationFault(k, Trajectory(
+            times_s=times[:k + 1].copy(), states=np.array(log).reshape(k + 1, 4),
+            inputs_N=inputs, references=refs[:k + 1].copy()))
 
-    for k in range(n):
-        u = control(float(refs[k]), s, dt)
-        u = u + disturbance_sample(disturbance, float(times[k]), rng)
+    for k, t, r in zip(range(n), times.tolist(), refs.tolist()):
+        # on a quiet run + 0.0 still turns a -0.0 force into 0.0
+        u = control(r, s, dt) + (0.0 if quiet else disturbance_sample(disturbance, t, rng))
         if lim is not None:
             u = lim if u > lim else (-lim if u < -lim else u)
         if not isfinite(u):
-            raise SimulationFault(k, partial(k))
-        inputs[k] = u
+            raise fault(k)
+        forces.append(u)
         try:
-            s_next = rk4_step(f, s, u, dt)
+            s = rk4_step(f, s, u, dt)
         except (ValueError, OverflowError, FloatingPointError):
-            raise SimulationFault(k, partial(k)) from None
-        if not all(map(isfinite, s_next)):
-            raise SimulationFault(k, partial(k))
-        s = s_next
-        states[k + 1] = s
+            raise fault(k) from None
+        th, thd, x, xd = s
+        # a finite sum means four finite values; an overflowing one is rechecked
+        if not isfinite(th + thd + x + xd) and not all(map(isfinite, s)):
+            raise fault(k)
+        log.extend(s)
 
-    inputs[n] = inputs[n - 1] if n > 0 else 0.0
-    return Trajectory(times_s=times, states=states, inputs_N=inputs, references=refs)
+    forces.append(forces[-1] if n > 0 else 0.0)
+    return Trajectory(times_s=times, states=np.frombuffer(log).reshape(n + 1, 4),
+                      inputs_N=np.frombuffer(forces), references=refs)

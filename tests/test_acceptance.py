@@ -196,7 +196,7 @@ def test_criterion_2_care_residuals():
 # ---------------- 3: integrator order ----------------
 
 def _exp_error(dt):
-    f = lambda s, u: State(s.theta_rad, 0.0, 0.0, 0.0)
+    f = lambda s, u: (s[0], 0.0, 0.0, 0.0)
     s = State(1.0, 0.0, 0.0, 0.0)
     for _ in range(int(round(1.0 / dt))):
         s = rk4_step(f, s, 0.0, dt)

@@ -243,6 +243,21 @@ def test_cascade_inner_zero_bypasses_to_single_loop():
         assert cascade.step(1.0, s, 1e-3) == pytest.approx(u_single, abs=1e-12)
 
 
+@pytest.mark.parametrize("inner", [PidGains(0.0, 0.0, 0.0, 0.0), PidGains(-0.0, 0.0, -0.0, 0.5)])
+def test_cascade_zero_inner_gains_is_the_position_loop_bit_for_bit(inner):
+    rng = np.random.default_rng(31)
+    pos = PidGains(1.2, 0.5, 0.3, 0.01)
+    cascade = pid_position_topology(pos, inner)
+    single_state = None
+    for r, x, xd in rng.standard_normal((2000, 3)).tolist():
+        e = r - x
+        if single_state is None:
+            single_state = PidState(0.0, e, 0.0)
+        u_single, single_state = pid_step(pos, single_state, e, 1e-3)
+        assert type(single_state) is PidState
+        assert cascade.step(r, State(math.pi, 0.0, x, xd), 1e-3).hex() == u_single.hex()
+
+
 def test_cascade_first_step_has_no_derivative_kick():
     ctrl = pid_position_topology(PidGains(1.2, 0.5, 0.3, 0.01), PidGains(8.0, 2.0, 0.0, 0.01))
     u = ctrl.step(1.0, State(math.pi, 0.0, 0.0, 0.0), 1e-3)

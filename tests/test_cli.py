@@ -68,6 +68,33 @@ def test_seed_override_changes_disturbed_run(tmp_path):
     assert (out1 / "quick-lqr.csv").read_bytes() != (out2 / "quick-lqr.csv").read_bytes()
 
 
+# SplitMix64 keeps 64 bits of a seed: -1 and 2**65 - 1 would alias 2**64 - 1
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 - 1)])
+def test_config_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    cfg = _write(tmp_path, "a.ini", SHORT_LQR + f"seed = {seed}\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: [sim] seed ")
+    assert not (out / "quick-lqr.csv").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 - 1)])
+def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    cfg = _write(tmp_path, "a.ini", SHORT_LQR)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--seed", seed]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --seed ")
+    assert not (out / "quick-lqr.csv").exists()
+
+
+def test_largest_64_bit_seed_runs(tmp_path):
+    cfg = _write(tmp_path, "a.ini", SHORT_LQR + f"seed = {2**64 - 1}\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "a.ini", SHORT_LQR)
     envdir = tmp_path / "envout"

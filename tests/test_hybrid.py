@@ -292,6 +292,79 @@ def test_channel_reset():
     assert ch.clamp_events == []
 
 
+class _ChannelOracle(HybridChannel):
+    """The attribute-per-update step HybridChannel.step replaced, kept as its reference."""
+
+    def step(self, r, y, edot, dt_s):
+        y_model = reference_model_step(self._model, r, dt_s)
+        e_model = y - y_model
+        y_model_filtered = reference_model_step(self._model_filter, y_model, dt_s)
+
+        self.theta, clamped = mit_rule_update(self.theta, self._adaptive, e_model, y,
+                                              y_model_filtered, dt_s, self.safety_bound)
+        for name in clamped:
+            self.clamp_events.append((self._steps, name))
+
+        lam1, lam2, lam3 = lambda_signals(self.theta, r, y)
+        if self._first:
+            self._lambda2_prev = lam2
+            self._lambda3_prev = lam3
+        self._lambda_integral += dt_s * (lam2 + self._lambda2_prev) / 2.0
+        self._lambda2_prev = lam2
+        raw_rate = 0.0 if self._first else (lam3 - self._lambda3_prev) / dt_s
+        self._lambda3_prev = lam3
+        tau = self.channel_gains.filter_tau_s
+        self._derivative_filter += dt_s / (tau + dt_s) * (raw_rate - self._derivative_filter)
+
+        g = self.channel_gains
+        pi_input = g.kp * lam1 + g.ki * self._lambda_integral
+        d_input = g.kd * self._derivative_filter
+        u_fuzzy = fuzzy_infer(self.fuzzy_system, pi_input, d_input)
+
+        e = r - y
+        if self._first:
+            self._error_prev = e
+            self._first = False
+        self._error_integral += dt_s * (e + self._error_prev) / 2.0
+        self._error_prev = e
+
+        c = self.crisp_gains
+        self._steps += 1
+        return u_fuzzy + c.kp * e + c.ki * self._error_integral + c.kd * edot
+
+
+def test_channel_step_matches_the_reference_body_bit_for_bit():
+    rng = np.random.default_rng(23)
+    fast = AdaptiveParams(theta_prime=0.4, gamma_p=300.0, gamma_i=20.0, gamma_d=900.0,
+                          gamma_prime=50.0)
+    cases = [  # gains, crisp gains, fuzzy scales, adaptation, safety bound, dt
+        (PidGains(1.5, 0.0, 1.4, 0.01), PidGains(1.2, 0.0, 0.3, 0.01), (1.0, 1.0, 12.0),
+         AdaptiveParams(), 100.0, 1e-3),
+        (PidGains(5.0, 0.7, 1.0, 0.0), PidGains(40.0, 3.0, 4.0, 0.01), (2.0, 0.5, 8.0),
+         AdaptiveParams(theta1=0.5, theta3=-2.0, theta_prime=0.0, gamma_d=0.3), 100.0, 1e-2),
+        (PidGains(1.0, 0.4, 0.8, 0.05), PidGains(0.5, 0.2, 0.1, 0.0), (1.0, 1.0, 6.0),
+         fast, 2.0, 1e-2),  # clips on most steps
+    ]
+    steps = 0
+    clipped = 0
+    for gains, crisp, scales, adaptive, bound, dt in cases:
+        args = (gains, crisp, standard_fuzzy_system(*scales), adaptive, bound)
+        ch, oracle = HybridChannel(*args), _ChannelOracle(*args)
+        for run in range(4):  # a fresh channel, then resets: each primes its histories
+            if run:
+                ch.reset()
+                oracle.reset()
+            draws = rng.standard_normal((2000, 3)) * rng.uniform(0.01, 3.0, 3)
+            for r, y, edot in draws.tolist():
+                assert ch.step(r, y, edot, dt).hex() == oracle.step(r, y, edot, dt).hex()
+            assert [v.hex() for v in ch.theta] == [v.hex() for v in oracle.theta]
+            assert ch.clamp_events == oracle.clamp_events
+            steps += len(draws)
+            clipped += len(ch.clamp_events)
+    assert steps >= 20000
+    assert clipped >= 100
+
+
 # ---------------- topologies ----------------
 
 def test_simultaneous_equilibrium_zero_output():

@@ -42,7 +42,7 @@ def test_rk4_zero_field():
 
 def test_rk4_exponential_oracle():
     # ydot = y in component 0; 1000 steps of 1e-3 reach e within 1e-10
-    f = lambda s, u: State(s.theta_rad, 0.0, 0.0, 0.0)
+    f = lambda s, u: (s[0], 0.0, 0.0, 0.0)
     s = State(1.0, 0.0, 0.0, 0.0)
     for _ in range(1000):
         s = rk4_step(f, s, 0.0, 1e-3)
@@ -50,7 +50,7 @@ def test_rk4_exponential_oracle():
 
 
 def _exp_error(dt):
-    f = lambda s, u: State(s.theta_rad, 0.0, 0.0, 0.0)
+    f = lambda s, u: (s[0], 0.0, 0.0, 0.0)
     s = State(1.0, 0.0, 0.0, 0.0)
     for _ in range(int(round(1.0 / dt))):
         s = rk4_step(f, s, 0.0, dt)
@@ -165,6 +165,8 @@ def test_fault_carries_partial_trajectory():
     assert err.step_index == 0
     assert len(err.trajectory.times_s) == 1
     assert np.all(np.isfinite(err.trajectory.states))
+    # a force fault logs no force for its step
+    assert err.trajectory.inputs_N[err.step_index] == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -199,6 +201,29 @@ def test_finite_overflowing_force_faults_at_its_step():
     assert err.step_index == 5
     assert err.trajectory.states.shape == (6, 4)
     assert np.all(np.isfinite(err.trajectory.states))
+    assert err.trajectory.inputs_N[5] == 1e300
+    clean = run_closed_loop(P, _ZeroController(), cfg, initial_state=State(0.1, 0.0, 0.0, 0.0))
+    assert err.trajectory.states.tobytes() == clean.states[:6].tobytes()
+
+
+def test_finite_state_whose_sum_overflows_does_not_fault():
+    # theta + x overflows to inf, yet each value is finite: the run goes on
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.003, reference=ReferenceSpec(0.0, 0.0))
+    traj = run_closed_loop(P, _ZeroController(), cfg,
+                           initial_state=State(1.7e308, 0.0, 1.7e308, 0.0))
+    assert traj.states.shape == (4, 4)
+    assert np.all(np.isfinite(traj.states))
+    assert math.isinf(sum(traj.states[-1].tolist()))
+
+
+def test_negative_zero_force_is_written_as_zero():
+    class NegativeZero:
+        def step(self, reference, state, dt_s):
+            return -0.0
+
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference=ReferenceSpec(0.0, 0.0))
+    rows = run_closed_loop(P, NegativeZero(), cfg).to_csv_text().splitlines()[1:]
+    assert [row.split(",")[5] for row in rows] == ["0"] * 11
 
 
 def test_force_limit_clamps_inputs():
