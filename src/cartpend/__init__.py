@@ -13,9 +13,7 @@ from .classic import (
     LqrWeights,
     PidGains,
     PidState,
-    lqr_control,
     lqr_synthesize,
-    lqr_topology,
     pid_position_topology,
     pid_simultaneous_topology,
     pid_step,

@@ -92,6 +92,8 @@ class LqrWeights:
         object.__setattr__(self, "q", q)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"q must be square, got shape {q.shape}")
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"q must be finite, got {float(q[~np.isfinite(q)][0])!r}")
         scale = float(np.max(np.abs(q))) if q.size else 0.0
         if np.max(np.abs(q - q.T)) > 1e-9 * (1.0 + scale):
             raise ValueError("q must be symmetric")
@@ -128,6 +130,9 @@ def _care_residual(a, b, q, r, p) -> float:
     return float(np.linalg.norm(a.T @ p + p @ a - p @ b @ (b.T @ p) / r + q, "fro"))
 
 
+# A diverging sweep or polish is caught by the finiteness and residual checks
+# below, so numpy's overflow warnings on the way there are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_care(ss: StateSpace, weights: LqrWeights, tol: float = 1e-9,
                rde_dt: float = 1e-3, horizon_s: float = 50.0) -> np.ndarray:
     """Stabilizing solution of A'P + PA - PB(1/r)B'P + Q = 0.
@@ -195,20 +200,32 @@ def solve_care(ss: StateSpace, weights: LqrWeights, tol: float = 1e-9,
 
 @dataclass(frozen=True, eq=False)
 class LqrController:
-    """Full-state feedback ``u = n_scale * r - k_gain . x`` and the CARE solution behind it."""
+    """Full-state feedback ``u = n_scale * r - k_gain . (x - equilibrium)``
+    and the CARE solution behind it."""
 
     k_gain: np.ndarray
     n_scale: float
     tracked_output_index: int
     riccati_solution: Optional[np.ndarray] = None
+    equilibrium: State = State(0.0, 0.0, 0.0, 0.0)
+
+    def step(self, reference: float, state: State, dt_s: float) -> float:
+        # The deviation goes in as four scalars, not as a State or an array.
+        # The gain product stays np.dot: BLAS ddot may fuse its multiply-adds,
+        # so a Python sum would not give the same bits.
+        th, thd, x, xd = state
+        e_th, e_thd, e_x, e_xd = self.equilibrium
+        return float(self.n_scale * reference
+                     - float(np.dot(self.k_gain, (th - e_th, thd - e_thd, x - e_x, xd - e_xd))))
 
 
-def lqr_synthesize(ss: StateSpace, weights: LqrWeights,
-                   tracked_output_index: int) -> LqrController:
+def lqr_synthesize(ss: StateSpace, weights: LqrWeights, tracked_output_index: int, *,
+                   equilibrium: State = State(0.0, 0.0, 0.0, 0.0)) -> LqrController:
     """Solve the CARE and attach the reference feedforward scale.
 
     ``n_scale`` is fixed so the closed loop has unit DC gain from the
-    reference to the tracked state component.
+    reference to the tracked state component. The controller measures the
+    state about ``equilibrium``, the point ``ss`` was linearized at.
     """
     p = solve_care(ss, weights)
     k = ((ss.b.T @ p) / weights.r).ravel()
@@ -220,36 +237,8 @@ def lqr_synthesize(ss: StateSpace, weights: LqrWeights,
     if dc == 0.0:
         raise ValueError("tracked output has no DC response; cannot scale reference")
     return LqrController(k_gain=k, n_scale=-1.0 / dc,
-                         tracked_output_index=tracked_output_index, riccati_solution=p)
-
-
-def lqr_control(ctrl: LqrController, reference: float, state) -> float:
-    return float(ctrl.n_scale * reference
-                 - float(np.dot(ctrl.k_gain, np.asarray(state, float))))
-
-
-class _LqrLoop:
-    """State feedback about a fixed equilibrium offset."""
-
-    def __init__(self, ctrl: LqrController, equilibrium: State):
-        self._ctrl = ctrl
-        self._eq = equilibrium
-
-    def step(self, reference: float, state: State, dt_s: float) -> float:
-        # lqr_control on the deviation, without building it as a State or an
-        # array. The gain product stays np.dot: BLAS ddot may fuse its
-        # multiply-adds, so a Python sum would not give the same bits.
-        th, thd, x, xd = state
-        e_th, e_thd, e_x, e_xd = self._eq
-        ctrl = self._ctrl
-        return float(ctrl.n_scale * reference
-                     - float(np.dot(ctrl.k_gain, (th - e_th, thd - e_thd, x - e_x, xd - e_xd))))
-
-
-def lqr_topology(ctrl: LqrController,
-                 equilibrium: State = State(0.0, 0.0, 0.0, 0.0)) -> _LqrLoop:
-    """Wrap a gain into the loop interface, measuring about ``equilibrium``."""
-    return _LqrLoop(ctrl, equilibrium)
+                         tracked_output_index=tracked_output_index, riccati_solution=p,
+                         equilibrium=equilibrium)
 
 
 # ---------------------------------------------------------------- PID topologies

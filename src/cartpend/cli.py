@@ -23,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import overshoot_pct, settling_time, steady_state_error, summarize
+from .classic import ConvergenceError
+from .metrics import (REPORT_CSV_HEADER, overshoot_pct, settling_time, steady_state_error,
+                      summarize)
 from .repro import run_comparison
 from .scenario import ConfigError, lqr_design, parse_scenario, run_scenario
 from .sim import SEED_LIMIT, SimulationFault, Trajectory
@@ -119,10 +121,8 @@ def _cmd_run(args) -> int:
 
     report_text = "".join(r.to_text() for r in reports)
     (out_dir / "report.txt").write_text(report_text)
-    csv_lines = ["controller,scenario,settling_s,overshoot_pct,sse"]
-    for r in reports:
-        csv_lines.extend(r.to_csv().strip().splitlines()[1:])
-    (out_dir / "report.csv").write_text("\n".join(csv_lines) + "\n")
+    (out_dir / "report.csv").write_text(
+        REPORT_CSV_HEADER + "\n" + "".join(r.to_csv().split("\n", 1)[1] for r in reports))
     print(report_text, end="")
     return status
 
@@ -164,7 +164,7 @@ def _cmd_lqr_gain(args) -> int:
         return 2
     try:
         ctrl = lqr_design(s)
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
         print(f"error: {args.config}: [controller] {exc}", file=sys.stderr)
         return 2
     print(f"operating point: {s.controller_config['operating_point']}")

@@ -17,6 +17,8 @@ import numpy as np
 
 from .sim import Trajectory
 
+REPORT_CSV_HEADER = "controller,scenario,settling_s,overshoot_pct,sse"
+
 
 def settling_time(times_s, values, reference: float,
                   band_fraction: float = 0.02) -> float:
@@ -108,7 +110,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["controller,scenario,settling_s,overshoot_pct,sse"]
+        lines = [REPORT_CSV_HEADER]
         for name, m in self.entries:
             lines.append(f"{name},{self.scenario_label},{m.settling_time_s:.6g},"
                          f"{m.overshoot_pct:.6g},{m.steady_state_error:.6g}")

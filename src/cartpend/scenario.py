@@ -23,11 +23,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .classic import (
+    ConvergenceError,
     LqrController,
     LqrWeights,
     PidGains,
     lqr_synthesize,
-    lqr_topology,
     pid_position_topology,
     pid_simultaneous_topology,
 )
@@ -279,44 +279,41 @@ def _format_value(kind: str, value) -> str:
 
 
 def serialize_scenario(s: Scenario) -> str:
-    """Config text that parses back to an equal Scenario."""
-    lines = ["[scenario]",
-             f"name = {s.name}",
-             f"condition = {s.condition}",
-             f"initial_theta_rad = {s.initial_theta_rad!r}",
-             "",
-             "[plant]",
-             f"cart_mass_kg = {s.plant.cart_mass_kg!r}",
-             f"bob_mass_kg = {s.plant.bob_mass_kg!r}",
-             f"pendulum_length_m = {s.plant.pendulum_length_m!r}",
-             f"gravity_ms2 = {s.plant.gravity_ms2!r}",
-             f"cart_mass_multiplier = {s.cart_mass_multiplier!r}",
-             f"pendulum_length_multiplier = {s.pendulum_length_multiplier!r}",
-             "",
-             "[controller]",
-             f"kind = {s.controller_kind}"]
-    schema = _CONTROLLER_SCHEMAS[s.controller_kind]
-    for key, (kind, default) in schema.items():
-        value = s.controller_config.get(key, default)
-        lines.append(f"{key} = {_format_value(kind, value)}")
-    lines += ["",
-              "[sim]",
-              f"dt_s = {s.sim.dt_s!r}",
-              f"duration_s = {s.sim.duration_s!r}",
-              f"seed = {s.sim.seed}",
-              f"reference_amplitude = {s.sim.reference.amplitude!r}",
-              f"reference_step_time_s = {s.sim.reference.step_time_s!r}"]
-    if s.sim.force_limit_N is not None:
-        lines.append(f"force_limit_N = {s.sim.force_limit_N!r}")
-    d = s.sim.disturbance
-    if d.kind != "none":
-        lines += ["",
-                  "[disturbance]",
-                  f"kind = {d.kind}",
-                  f"amplitude_N = {d.amplitude_N!r}",
-                  f"start_s = {d.start_s!r}",
-                  f"end_s = {d.end_s!r}"]
-    return "\n".join(lines) + "\n"
+    """Config text that parses back to an equal Scenario.
+
+    Every section is written with every key of its schema; only an unset
+    ``force_limit_N`` is left out. Keys missing from ``controller_config``
+    are written with their schema defaults.
+    """
+    sim = s.sim
+    values = {
+        "scenario": {"name": s.name, "condition": s.condition,
+                     "initial_theta_rad": s.initial_theta_rad},
+        "plant": {**{f.name: getattr(s.plant, f.name) for f in fields(PlantParams)},
+                  "cart_mass_multiplier": s.cart_mass_multiplier,
+                  "pendulum_length_multiplier": s.pendulum_length_multiplier},
+        "controller": s.controller_config,
+        "sim": {"dt_s": sim.dt_s, "duration_s": sim.duration_s, "seed": sim.seed,
+                "force_limit_N": sim.force_limit_N,
+                "reference_amplitude": sim.reference.amplitude,
+                "reference_step_time_s": sim.reference.step_time_s},
+        "disturbance": {f.name: getattr(sim.disturbance, f.name)
+                        for f in fields(DisturbanceSpec)},
+    }
+    # the kind is the default of the schema's first key, as in parse_scenario
+    schemas = {"scenario": _SCENARIO_KEYS, "plant": _PLANT_KEYS,
+               "controller": {"kind": ("str", s.controller_kind),
+                              **_CONTROLLER_SCHEMAS[s.controller_kind]},
+               "sim": _SIM_KEYS, "disturbance": _DISTURBANCE_KEYS}
+    lines = []
+    for section in _SECTIONS:
+        lines.append(f"[{section}]")
+        for key, (kind, default) in schemas[section].items():
+            value = values[section].get(key, default)
+            if value is not None:
+                lines.append(f"{key} = {_format_value(kind, value)}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 def effective_plant(s: Scenario) -> PlantParams:
@@ -360,13 +357,14 @@ def lqr_design(s: Scenario) -> LqrController:
     """Synthesize the gain of an ``lqr`` scenario on its nominal plant.
 
     The weights come from the config, the plant is linearized at the
-    configured operating point, and the returned controller carries the
-    Riccati solution its gain came from.
+    configured operating point, and the returned controller measures the
+    state about that point and carries the Riccati solution its gain came from.
     """
     cc = s.controller_config
     weights = LqrWeights(q=np.diag([cc[key] for key in _Q_KEYS]), r=cc["r"])
-    ss = linearize_at(s.plant, _OPERATING_POINTS[cc["operating_point"]])
-    return lqr_synthesize(ss, weights, tracked_output_index=2)
+    theta_e = _OPERATING_POINTS[cc["operating_point"]]
+    return lqr_synthesize(linearize_at(s.plant, theta_e), weights, tracked_output_index=2,
+                          equilibrium=State(theta_e, 0.0, 0.0, 0.0))
 
 
 def build_controller(s: Scenario):
@@ -380,8 +378,7 @@ def build_controller(s: Scenario):
     kind = s.controller_kind
     try:
         if kind == "lqr":
-            theta_e = _OPERATING_POINTS[cc["operating_point"]]
-            return lqr_topology(lqr_design(s), equilibrium=State(theta_e, 0.0, 0.0, 0.0))
+            return lqr_design(s)
         if kind == "pid-position":
             return pid_position_topology(_gains(cc, "position"), _gains(cc, "velocity"))
         if kind == "pid-simultaneous":
@@ -391,7 +388,7 @@ def build_controller(s: Scenario):
         if kind == "hybrid-simultaneous":
             return hybrid_simultaneous_topology(_build_channel(cc, "angle_"),
                                                 _build_channel(cc, "position_"))
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
         raise ConfigError(f"[controller] {exc}") from None
     raise ConfigError(f"[controller] kind: unknown kind {kind!r}")
 

@@ -243,8 +243,6 @@ def test_criterion_4_linearization():
             col = [(x - y) / (2 * h) for x, y in zip(fp, fm)]
             worst_jac = max(worst_jac, float(np.max(np.abs(np.asarray(col) - ss.a[:, j]))))
 
-    from cartpend.classic import lqr_control
-
     ss = linearize(P)
     ctrl = lqr_synthesize(ss, LqrWeights(), 2)
     dt, r = 1e-3, 0.01
@@ -254,8 +252,8 @@ def test_criterion_4_linearization():
     s_nl = s_lin = State(0.0, 0.0, 0.0, 0.0)
     worst_x = 0.0
     for _ in range(int(round(5.0 / dt))):
-        s_nl = rk4_step(f_nl, s_nl, lqr_control(ctrl, r, s_nl), dt)
-        s_lin = rk4_step(f_lin, s_lin, lqr_control(ctrl, r, s_lin), dt)
+        s_nl = rk4_step(f_nl, s_nl, ctrl.step(r, s_nl, dt), dt)
+        s_lin = rk4_step(f_lin, s_lin, ctrl.step(r, s_lin, dt), dt)
         worst_x = max(worst_x, abs(s_nl.x_m - s_lin.x_m))
     ok = worst_jac <= 1e-6 and worst_x <= 0.02 * r
     _report("4", ok, (

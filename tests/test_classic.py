@@ -1,4 +1,5 @@
 """PID discretization, Riccati solver, and LQR synthesis oracles."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from cartpend.classic import (
     ConvergenceError,
+    LqrController,
     LqrWeights,
     PidGains,
     PidState,
-    lqr_control,
     lqr_synthesize,
-    lqr_topology,
     pid_position_topology,
     pid_simultaneous_topology,
     pid_step,
@@ -164,6 +164,9 @@ def test_lqr_weights_validation():
         LqrWeights(q=np.diag([1.0, -1.0, 1.0, 1.0]), r=1.0)
     with pytest.raises(ValueError):
         LqrWeights(r=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"q must be finite, got {bad!r}"):
+            LqrWeights(q=np.diag([1.0, 9.0, bad, 180.0]))
 
 
 def test_lqr_synthesize_upright_frozen_gain():
@@ -190,35 +193,33 @@ def test_lqr_closed_loop_hurwitz_and_unit_dc_gain():
     assert dc == pytest.approx(1.0, abs=1e-9)
 
 
-def test_lqr_control_arithmetic():
-    from cartpend.classic import LqrController
-
+def test_lqr_step_arithmetic():
     ctrl = LqrController(k_gain=np.array([1.0, 0.0, 0.0, 0.0]), n_scale=0.0,
                          tracked_output_index=2)
-    assert lqr_control(ctrl, 0.0, State(0, 0, 0, 0)) == 0.0
-    assert lqr_control(ctrl, 0.0, State(2, 0, 0, 0)) == -2.0
+    assert ctrl.step(0.0, State(0, 0, 0, 0), 1e-3) == 0.0
+    assert ctrl.step(0.0, State(2, 0, 0, 0), 1e-3) == -2.0
     ctrl2 = LqrController(k_gain=np.zeros(4), n_scale=3.0, tracked_output_index=2)
-    assert lqr_control(ctrl2, 2.0, State(0, 0, 0, 0)) == 6.0
+    assert ctrl2.step(2.0, State(0, 0, 0, 0), 1e-3) == 6.0
 
 
 @pytest.mark.parametrize("theta_e", [0.0, math.pi], ids=["upright", "hanging"])
-def test_lqr_loop_step_matches_lqr_control_on_the_deviation_bit_for_bit(theta_e):
-    ctrl = lqr_synthesize(linearize_at(P, theta_e), LqrWeights(), 2)
+def test_lqr_step_about_equilibrium_matches_step_on_the_deviation_bit_for_bit(theta_e):
     eq = State(theta_e, 0.0, 0.0, 0.0)
-    loop = lqr_topology(ctrl, equilibrium=eq)
+    ctrl = lqr_synthesize(linearize_at(P, theta_e), LqrWeights(), 2, equilibrium=eq)
+    about_zero = dataclasses.replace(ctrl, equilibrium=State(0.0, 0.0, 0.0, 0.0))
     rng = np.random.default_rng(3)
     rows = rng.uniform(-1.0, 1.0, (20000, 5)) * [4.0, 30.0, 5.0, 10.0, 2.0]
     for th, thd, x, xd, r in rows.tolist():
         s = State(th + theta_e, thd, x, xd)
-        want = lqr_control(ctrl, r, State(*(v - e for v, e in zip(s, eq))))
-        assert loop.step(r, s, 1e-3).hex() == want.hex()
+        want = about_zero.step(r, State(*(v - e for v, e in zip(s, eq))), 1e-3)
+        assert ctrl.step(r, s, 1e-3).hex() == want.hex()
 
 
-def test_lqr_topology_equilibrium_offset():
-    ctrl = lqr_synthesize(linearize_at(P, math.pi), LqrWeights(), 2)
-    loop = lqr_topology(ctrl, equilibrium=State(math.pi, 0.0, 0.0, 0.0))
+def test_lqr_step_equilibrium_offset():
+    ctrl = lqr_synthesize(linearize_at(P, math.pi), LqrWeights(), 2,
+                          equilibrium=State(math.pi, 0.0, 0.0, 0.0))
     # exactly at the shifted equilibrium with r=0 the force is zero
-    assert loop.step(0.0, State(math.pi, 0.0, 0.0, 0.0), 1e-3) == pytest.approx(0.0, abs=1e-12)
+    assert ctrl.step(0.0, State(math.pi, 0.0, 0.0, 0.0), 1e-3) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------- loop topologies ----------------

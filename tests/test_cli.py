@@ -296,6 +296,23 @@ def test_lqr_gain_bad_weights_exit_2(tmp_path, capsys):
     assert "[controller] r must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["q_x = 1e308", "r = 1e-300"], ids=["huge-q", "tiny-r"])
+def test_riccati_failure_is_a_controller_error(tmp_path, capsys, weight):
+    text = SHORT_LQR.replace("quick-lqr", "bad").replace("kind = lqr", f"kind = lqr\n{weight}")
+    bad = _write(tmp_path, "bad.ini", text)
+    good = _write(tmp_path, "good.ini", SHORT_LQR.replace("quick-lqr", "good"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", bad, good, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: scenario bad: [controller] " in err and "Traceback" not in err
+        assert all((out / f).exists() for f in ("good.csv", "report.txt", "report.csv"))
+        assert main(["lqr-gain", bad]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: [controller] ")
+
+
 def test_lqr_gain_rejects_other_controllers(tmp_path, capsys):
     cfg = _write(tmp_path, "a.ini", SHORT_LQR.replace("kind = lqr", "kind = pid-position"))
     assert main(["lqr-gain", cfg]) == 2

@@ -12,7 +12,6 @@ from cartpend.classic import (
     LqrWeights,
     PidGains,
     lqr_synthesize,
-    lqr_topology,
     pid_position_topology,
     pid_simultaneous_topology,
 )
@@ -143,6 +142,14 @@ def test_round_trip_identity_minimal():
     assert parse_scenario(serialize_scenario(s)) == s
 
 
+@pytest.mark.parametrize("condition", ["nominal", "disturbance"])
+def test_round_trip_keeps_an_explicit_none_disturbance(condition):
+    s = parse_scenario(f"[scenario]\ncondition = {condition}\n\n{MINIMAL}"
+                       "\n[disturbance]\nkind = none\n")
+    assert s.sim.disturbance.kind == "none"
+    assert parse_scenario(serialize_scenario(s)) == s
+
+
 def test_round_trip_identity_builtins():
     for name, s in builtin_scenarios().items():
         back = parse_scenario(serialize_scenario(s))
@@ -221,8 +228,7 @@ def _channel(cc, prefix=""):
 def test_minimal_configs_build_the_library_defaults():
     """``[controller] kind = ...`` alone builds what the no-argument objects build."""
     library = {
-        "lqr": lambda cc: lqr_topology(lqr_synthesize(linearize(PlantParams()),
-                                                      LqrWeights(), 2)),
+        "lqr": lambda cc: lqr_synthesize(linearize(PlantParams()), LqrWeights(), 2),
         "pid-position": lambda cc: pid_position_topology(),
         "pid-simultaneous": lambda cc: pid_simultaneous_topology(),
         "hybrid": lambda cc: hybrid_position_topology(_channel(cc)),

@@ -364,9 +364,9 @@ def test_rk4_step_matches_the_generator_form_bit_for_bit():
 
 def test_lqr_step_tracking_smoke():
     # classic-controller integration: a 0.3 m step converges to within 5%
-    from cartpend.classic import LqrWeights, lqr_synthesize, lqr_topology
+    from cartpend.classic import LqrWeights, lqr_synthesize
 
-    ctrl = lqr_topology(lqr_synthesize(linearize(P), LqrWeights(), 2))
+    ctrl = lqr_synthesize(linearize(P), LqrWeights(), 2)
     cfg = SimConfig(dt_s=1e-3, duration_s=10.0, reference=ReferenceSpec(0.3, 0.0))
     traj = run_closed_loop(P, ctrl, cfg)
     assert abs(traj.states[-1, 2] - 0.3) <= 0.05 * 0.3
@@ -374,7 +374,7 @@ def test_lqr_step_tracking_smoke():
 
 def test_linear_vs_nonlinear_small_step():
     # 0.01 m step under the same LQR: linear and nonlinear loops agree to 2% sup-norm
-    from cartpend.classic import LqrWeights, lqr_control, lqr_synthesize
+    from cartpend.classic import LqrWeights, lqr_synthesize
 
     ss = linearize(P)
     ctrl = lqr_synthesize(ss, LqrWeights(), 2)
@@ -386,8 +386,8 @@ def test_linear_vs_nonlinear_small_step():
     s_nl = s_lin = State(0.0, 0.0, 0.0, 0.0)
     worst = 0.0
     for _ in range(n):
-        u_nl = lqr_control(ctrl, r, s_nl)
-        u_lin = lqr_control(ctrl, r, s_lin)
+        u_nl = ctrl.step(r, s_nl, dt)
+        u_lin = ctrl.step(r, s_lin, dt)
         s_nl = rk4_step(f_nl, s_nl, u_nl, dt)
         s_lin = rk4_step(f_lin, s_lin, u_lin, dt)
         worst = max(worst, abs(s_nl.x_m - s_lin.x_m))
