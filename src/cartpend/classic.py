@@ -4,7 +4,8 @@ The PID primitive is a pure function over an explicit state tuple so loop
 topologies can own priming and wiring decisions. The Riccati solver runs in
 two phases: a forward differential-Riccati sweep from P = 0 until the
 implied gain stabilizes the plant, then Newton iterations with exact
-Lyapunov solves to drive the algebraic residual below tolerance. scipy has
+Lyapunov solves to drive the algebraic residual below tolerance, first in
+direct form and then, where that stalls, in increment form. scipy has
 an equivalent solver; it is deliberately only used in the test suite as an
 independent cross-check.
 """
@@ -126,23 +127,41 @@ def _lyapunov_solve(a_cl: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return p.reshape((n, n), order="F")
 
 
+def _riccati_residual(a, b, q, r, p) -> np.ndarray:
+    # PB(B'P) is a rank-one outer product, more accurate than P (BB'/r) P
+    return a.T @ p + p @ a - p @ b @ (b.T @ p) / r + q
+
+
 def _care_residual(a, b, q, r, p) -> float:
-    return float(np.linalg.norm(a.T @ p + p @ a - p @ b @ (b.T @ p) / r + q, "fro"))
+    return float(np.linalg.norm(_riccati_residual(a, b, q, r, p), "fro"))
+
+
+# Riccati sweep: fixed-step RK4 with a 1 ms step over a 50 s horizon, and a
+# gain check every 100 steps. The step count is a multiple of the check
+# interval, so the last step is always checked.
+_RDE_DT = 1e-3
+_HORIZON_S = 50.0
+_CHECK_EVERY = 100
 
 
 # A diverging sweep or polish is caught by the finiteness and residual checks
 # below, so numpy's overflow warnings on the way there are noise.
 @np.errstate(over="ignore", invalid="ignore")
-def solve_care(ss: StateSpace, weights: LqrWeights, tol: float = 1e-9,
-               rde_dt: float = 1e-3, horizon_s: float = 50.0) -> np.ndarray:
+def solve_care(ss: StateSpace, weights: LqrWeights, tol: float = 1e-9) -> np.ndarray:
     """Stabilizing solution of A'P + PA - PB(1/r)B'P + Q = 0.
 
     Phase one integrates the matrix Riccati flow dP/dtau = A'P + PA -
-    PB(1/r)B'P + Q from P = 0 (fixed-step RK4, ``rde_dt``) until the gain it
-    implies is stabilizing. Phase two polishes by Newton iteration, each
-    step an exact Lyapunov solve, and demands residual <= tol. The seed
-    gain can be barely stabilizing, so the early Newton steps may overshoot
-    before the quadratic regime; the cap is sized for that.
+    PB(1/r)B'P + Q from P = 0 (fixed-step RK4, 1 ms, up to 50 s) until the
+    gain it implies is stabilizing. It tests P for finiteness only at each
+    100-step gain check: a non-finite entry stays non-finite, so a diverged
+    flow is still caught there. Phase two polishes by Newton iteration, each
+    step an exact Lyapunov solve, and demands residual <= tol. The seed gain
+    can be barely stabilizing, so the early Newton steps may overshoot
+    before the quadratic regime; 50 direct steps are allowed for that. If
+    they end above tol, the polish goes on in increment form, solving for
+    the correction to P from the residual matrix, until the residual is
+    within tol or three steps bring no improvement; the error then carries
+    the best residual reached.
     """
     a = np.asarray(ss.a, float)
     b = np.asarray(ss.b, float)
@@ -157,45 +176,59 @@ def solve_care(ss: StateSpace, weights: LqrWeights, tol: float = 1e-9,
         raise ValueError("(A, B) is not stabilizable; no stabilizing solution exists")
 
     g = b @ b.T / r
+    a_t = a.T
 
+    # ndarray.dot is cheaper per call than @ on these small matrices and
+    # gives the same bits here
     def flow(p):
-        return a.T @ p + p @ a - p @ g @ p + q
+        return a_t.dot(p) + p.dot(a) - p.dot(g).dot(p) + q
 
     def gain_stabilizes(p):
         k = (b.T @ p) / r
         return float(np.max(np.linalg.eigvals(a - b @ k).real)) < -1e-6
 
     p = np.zeros((n, n))
-    steps = int(round(horizon_s / rde_dt))
-    check_every = 100
-    found = False
-    for step in range(1, steps + 1):
+    dt = _RDE_DT
+    for step in range(1, int(round(_HORIZON_S / dt)) + 1):
         k1 = flow(p)
-        k2 = flow(p + 0.5 * rde_dt * k1)
-        k3 = flow(p + 0.5 * rde_dt * k2)
-        k4 = flow(p + rde_dt * k3)
-        p = p + rde_dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = flow(p + 0.5 * dt * k1)
+        k3 = flow(p + 0.5 * dt * k2)
+        k4 = flow(p + dt * k3)
+        p = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         p = 0.5 * (p + p.T)
-        if not np.all(np.isfinite(p)):
-            raise ConvergenceError("Riccati flow diverged", math.inf)
-        if step % check_every == 0 and gain_stabilizes(p):
-            found = True
-            break
-    if not found and not gain_stabilizes(p):
+        if step % _CHECK_EVERY == 0:
+            if not np.all(np.isfinite(p)):
+                raise ConvergenceError("Riccati flow diverged", math.inf)
+            if gain_stabilizes(p):
+                break
+    else:
         raise ConvergenceError(
-            f"no stabilizing gain within a {horizon_s} s Riccati sweep",
+            f"no stabilizing gain within a {_HORIZON_S} s Riccati sweep",
             _care_residual(a, b, q, r, p))
 
     for _ in range(50):
         k = (b.T @ p) / r
-        a_cl = a - b @ k
-        rhs = q + k.T @ (r * k)
-        p = _lyapunov_solve(a_cl, rhs)
+        p = _lyapunov_solve(a - b @ k, q + k.T @ (r * k))
         p = 0.5 * (p + p.T)
-        if _care_residual(a, b, q, r, p) <= tol:
+        res = _care_residual(a, b, q, r, p)
+        if res <= tol:
             return p
-    raise ConvergenceError("Newton polish did not reach tolerance",
-                           _care_residual(a, b, q, r, p))
+    # Kleinman's step again, solved for the increment: (A - BK)'D + D(A - BK)
+    # = -R(P), P <- P + D. Once ||P|| is large, the direct form loses to
+    # cancellation what the increment form keeps.
+    best, stalled = res, 0
+    while stalled < 3:
+        k = (b.T @ p) / r
+        p = p + _lyapunov_solve(a - b @ k, _riccati_residual(a, b, q, r, p))
+        p = 0.5 * (p + p.T)
+        res = _care_residual(a, b, q, r, p)
+        if res <= tol:
+            return p
+        if res < best:
+            best, stalled = res, 0
+        else:
+            stalled += 1
+    raise ConvergenceError("Newton polish did not reach tolerance", best)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,7 +31,6 @@ import time
 import numpy as np
 
 from cartpend.classic import (
-    ConvergenceError,
     LqrWeights,
     PidGains,
     lqr_synthesize,
@@ -173,8 +172,8 @@ def test_criterion_2_care_residuals():
         w = LqrWeights(q=np.eye(n), r=float(rng.uniform(0.5, 2.0)))
         try:
             p = solve_care(ss, w, tol=1e-9)
-        except (ValueError, ConvergenceError):
-            continue  # unstabilizable draw
+        except ValueError:
+            continue  # unstabilizable draw; a Riccati refusal fails the test
         worst = max(worst, _residual(ss, w, p))
         solved += 1
 
