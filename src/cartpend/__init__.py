@@ -8,11 +8,14 @@ a CLI turn them into comparable reports.
 """
 
 from .classic import (
+    CascadeLoop,
     ConvergenceError,
     LqrController,
     LqrWeights,
+    PidChannel,
     PidGains,
     PidState,
+    SimultaneousLoop,
     lqr_synthesize,
     pid_position_topology,
     pid_simultaneous_topology,
@@ -29,8 +32,6 @@ from .hybrid import (
     AdaptiveParams,
     HybridChannel,
     ReferenceModel,
-    hybrid_position_topology,
-    hybrid_simultaneous_topology,
     mit_rule_update,
     reference_model_step,
 )

@@ -1,7 +1,12 @@
-"""Classical control: discrete PID primitives, a CARE solver, LQR synthesis.
+"""Classical control: the PID channel, the loop compositions, a CARE solver, LQR.
 
-The PID primitive is a pure function over an explicit state tuple so loop
-topologies can own priming and wiring decisions. The Riccati solver runs in
+A channel is any object with ``step(r, y, edot, dt_s) -> force``: ``y`` is
+the measured output, ``r`` its reference, and ``edot = -ydot``, the rate of
+the error ``r - y`` for a held reference. ``PidChannel`` (which ignores
+``edot``) and ``hybrid.HybridChannel`` are the two channels; every control
+loop but the LQR is one of two compositions of them, ``CascadeLoop`` or
+``SimultaneousLoop``. The PID primitive under ``PidChannel`` is a pure
+function over an explicit state tuple. The Riccati solver runs in
 two phases: a forward differential-Riccati sweep from P = 0 until the
 implied gain stabilizes the plant, then Newton iterations with exact
 Lyapunov solves to drive the algebraic residual below tolerance, first in
@@ -73,6 +78,27 @@ def pid_step(gains: PidGains, state: PidState, error: float,
         derivative = raw
     u = gains.kp * error + gains.ki * integral + gains.kd * derivative
     return u, _pid_state((integral, error, derivative))
+
+
+class PidChannel:
+    """``pid_step`` on the error ``r - y`` as a channel; ignores ``edot``.
+
+    The error history is primed on the first step, so a step reference
+    gives no derivative kick.
+    """
+
+    clamp_events = ()  # no adaptation, so nothing is ever clamped
+
+    def __init__(self, gains: PidGains):
+        self.gains = gains
+        self._state = None
+
+    def step(self, r: float, y: float, edot: float, dt_s: float) -> float:
+        e = r - y
+        if self._state is None:
+            self._state = PidState(0.0, e, 0.0)
+        u, self._state = pid_step(self.gains, self._state, e, dt_s)
+        return u
 
 
 # ---------------------------------------------------------------- CARE / LQR
@@ -274,71 +300,72 @@ def lqr_synthesize(ss: StateSpace, weights: LqrWeights, tracked_output_index: in
                          equilibrium=equilibrium)
 
 
-# ---------------------------------------------------------------- PID topologies
+# ---------------------------------------------------------------- loop compositions
 
-class _CascadeLoop:
-    """Outer position PID commands velocity; inner velocity PID commands force.
+class _Composition:
+    """What the two compositions share: the adaptation clamps of their channels."""
 
-    An all-zero inner gain set degrades to the single position loop, which
-    is occasionally useful when retuning. Error histories are primed on the
-    first call so a step reference does not produce a derivative spike.
+    @property
+    def clamp_events(self) -> list:
+        return [event for channel in self.channels for event in channel.clamp_events]
+
+
+class CascadeLoop(_Composition):
+    """Outer channel on the cart position; optional inner channel on its rate.
+
+    The outer channel's output is the force, or with an inner channel a
+    velocity command that the inner channel turns into force against the
+    measured cart velocity. The cart acceleration is not measured, so the
+    inner channel gets ``edot = 0.0``.
     """
 
-    def __init__(self, position_gains: PidGains, velocity_gains: PidGains):
-        self._pos_g = position_gains
-        self._vel_g = velocity_gains
-        self._inner_off = not (velocity_gains.kp or velocity_gains.ki or velocity_gains.kd)
-        self._pos_s = None
-        self._vel_s = None
+    def __init__(self, outer, inner=None):
+        self.outer = outer
+        self.inner = inner
+        self.channels = (outer,) if inner is None else (outer, inner)
 
     def step(self, reference: float, state: State, dt_s: float) -> float:
-        e_pos = reference - state.x_m
-        if self._pos_s is None:
-            self._pos_s = PidState(0.0, e_pos, 0.0)
-        v_cmd, self._pos_s = pid_step(self._pos_g, self._pos_s, e_pos, dt_s)
-        if self._inner_off:
-            return v_cmd
-        e_vel = v_cmd - state.x_dot_ms
-        if self._vel_s is None:
-            self._vel_s = PidState(0.0, e_vel, 0.0)
-        u, self._vel_s = pid_step(self._vel_g, self._vel_s, e_vel, dt_s)
-        return u
+        _, _, x, xd = state
+        u = self.outer.step(reference, x, -xd, dt_s)
+        if self.inner is None:
+            return u
+        return self.inner.step(u, xd, 0.0, dt_s)
+
+
+class SimultaneousLoop(_Composition):
+    """Angle channel and position channel act on the same force input.
+
+    The angle channel regulates theta to zero; the position channel's output
+    is subtracted, leaning the pendulum so that balancing drags the cart
+    toward the reference.
+    """
+
+    def __init__(self, angle, position):
+        self.angle = angle
+        self.position = position
+        self.channels = (angle, position)
+
+    def step(self, reference: float, state: State, dt_s: float) -> float:
+        th, thd, x, xd = state
+        return (self.angle.step(0.0, th, -thd, dt_s)
+                - self.position.step(reference, x, -xd, dt_s))
 
 
 def pid_position_topology(
         position_gains: PidGains = PidGains(1.2, 0.5, 0.3),
-        velocity_gains: PidGains = PidGains(8.0, 2.0, 0.0)) -> _CascadeLoop:
-    """Cart-position cascade for the hanging pendulum; defaults of ``pid-position``."""
-    return _CascadeLoop(position_gains, velocity_gains)
+        velocity_gains: PidGains = PidGains(8.0, 2.0, 0.0)) -> CascadeLoop:
+    """Cart-position cascade for the hanging pendulum; defaults of ``pid-position``.
 
-
-class _SimultaneousLoop:
-    """Angle PID and position PID act on the same force input.
-
-    The angle loop regulates theta to zero; the position loop's output is
-    subtracted, leaning the pendulum so that balancing drags the cart toward
-    the reference.
+    An all-zero velocity gain set leaves the inner loop out, so the position
+    PID commands force directly, which is occasionally useful when retuning.
     """
-
-    def __init__(self, angle_gains: PidGains, position_gains: PidGains):
-        self._ang_g = angle_gains
-        self._pos_g = position_gains
-        self._ang_s = None
-        self._pos_s = None
-
-    def step(self, reference: float, state: State, dt_s: float) -> float:
-        e_th = -state.theta_rad
-        e_x = reference - state.x_m
-        if self._ang_s is None:
-            self._ang_s = PidState(0.0, e_th, 0.0)
-            self._pos_s = PidState(0.0, e_x, 0.0)
-        u_th, self._ang_s = pid_step(self._ang_g, self._ang_s, e_th, dt_s)
-        u_x, self._pos_s = pid_step(self._pos_g, self._pos_s, e_x, dt_s)
-        return u_th - u_x
+    inner_on = velocity_gains.kp or velocity_gains.ki or velocity_gains.kd
+    return CascadeLoop(PidChannel(position_gains),
+                       PidChannel(velocity_gains) if inner_on else None)
 
 
 def pid_simultaneous_topology(
         angle_gains: PidGains = PidGains(30.0, 0.1, 4.0),
-        position_gains: PidGains = PidGains(1.8, 0.5, 3.0)) -> _SimultaneousLoop:
+        position_gains: PidGains = PidGains(1.8, 0.5, 3.0)) -> SimultaneousLoop:
     """Balance-and-track pair for the upright pendulum; defaults of ``pid-simultaneous``."""
-    return _SimultaneousLoop(angle_gains, position_gains)
+    return SimultaneousLoop(PidChannel(angle_gains), PidChannel(position_gains))

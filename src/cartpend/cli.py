@@ -99,8 +99,16 @@ def _cmd_run(args) -> int:
         return 2
 
     out_dir = Path(args.out or os.environ.get("CARTPEND_OUT_DIR") or "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        return _run_into(out_dir, scenarios)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run_into(out_dir: Path, scenarios) -> int:
+    """Make ``out_dir`` before anything runs, then write each CSV and the reports."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     status = 0
     for s in scenarios:
@@ -111,9 +119,9 @@ def _cmd_run(args) -> int:
             status = 2
             continue
         except SimulationFault as fault:
+            (out_dir / f"{s.name}.csv").write_text(fault.trajectory.to_csv_text())
             print(f"error: scenario {s.name} diverged at step {fault.step_index}; "
                   f"partial trajectory kept", file=sys.stderr)
-            (out_dir / f"{s.name}.csv").write_text(fault.trajectory.to_csv_text())
             status = max(status, 1)
             continue
         (out_dir / f"{s.name}.csv").write_text(traj.to_csv_text())

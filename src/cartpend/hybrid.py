@@ -1,4 +1,4 @@
-"""Model-reference adaptive fuzzy PI-D channel and its loop topologies.
+"""Model-reference adaptive fuzzy PI-D channel.
 
 One channel tracks a second-order reference model. A gradient (MIT-style)
 rule adapts four mixing parameters from the model error; the adapted
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .classic import PidGains
 from .fuzzy import FuzzySystem, fuzzy_infer
-from .plant import State
 
 
 class ReferenceModel:
@@ -138,9 +137,9 @@ def lambda_signals(theta, r: float, y: float):
 class HybridChannel:
     """One adaptive fuzzy PI-D channel; see the module docstring for the law.
 
-    ``step(r, y, edot, dt)`` takes the measured output and its rate (the
-    crisp derivative acts on the measured rate, not a difference of errors,
-    so reference steps do not kick it). The scenario schema reads its
+    ``step(r, y, edot, dt_s)`` is the channel interface of ``cartpend.classic``.
+    The crisp derivative acts on ``edot`` rather than on a difference of
+    errors, so reference steps do not kick it. The scenario schema reads its
     ``safety_bound`` and reference-model defaults from this signature.
     """
 
@@ -213,43 +212,3 @@ class HybridChannel:
         self._error_prev = e
         self._steps += 1
         return u_fuzzy + self._cp * e + self._ci * e_integral + self._cd * edot
-
-
-class _HybridPositionLoop:
-    """Single channel driving the cart position of a hanging pendulum."""
-
-    def __init__(self, channel: HybridChannel):
-        self._channel = channel
-
-    def step(self, reference: float, state: State, dt_s: float) -> float:
-        return self._channel.step(reference, state.x_m, -state.x_dot_ms, dt_s)
-
-    @property
-    def clamp_events(self):
-        return list(self._channel.clamp_events)
-
-
-def hybrid_position_topology(channel: HybridChannel) -> _HybridPositionLoop:
-    return _HybridPositionLoop(channel)
-
-
-class _HybridSimultaneousLoop:
-    """Angle channel regulates theta to zero, position channel is subtracted."""
-
-    def __init__(self, angle_channel: HybridChannel, position_channel: HybridChannel):
-        self._angle = angle_channel
-        self._position = position_channel
-
-    def step(self, reference: float, state: State, dt_s: float) -> float:
-        u_angle = self._angle.step(0.0, state.theta_rad, -state.theta_dot_rads, dt_s)
-        u_pos = self._position.step(reference, state.x_m, -state.x_dot_ms, dt_s)
-        return u_angle - u_pos
-
-    @property
-    def clamp_events(self):
-        return list(self._angle.clamp_events) + list(self._position.clamp_events)
-
-
-def hybrid_simultaneous_topology(angle_channel: HybridChannel,
-                                 position_channel: HybridChannel) -> _HybridSimultaneousLoop:
-    return _HybridSimultaneousLoop(angle_channel, position_channel)

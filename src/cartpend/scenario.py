@@ -23,21 +23,18 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .classic import (
+    CascadeLoop,
     ConvergenceError,
     LqrController,
     LqrWeights,
     PidGains,
+    SimultaneousLoop,
     lqr_synthesize,
     pid_position_topology,
     pid_simultaneous_topology,
 )
 from .fuzzy import STANDARD_PEAKS, FuzzySystem, ladder_rule_table
-from .hybrid import (
-    AdaptiveParams,
-    HybridChannel,
-    hybrid_position_topology,
-    hybrid_simultaneous_topology,
-)
+from .hybrid import AdaptiveParams, HybridChannel
 from .plant import PlantParams, State, linearize_at
 from .sim import DisturbanceSpec, ReferenceSpec, SimConfig, Trajectory, run_closed_loop
 
@@ -384,10 +381,10 @@ def build_controller(s: Scenario):
         if kind == "pid-simultaneous":
             return pid_simultaneous_topology(_gains(cc, "angle"), _gains(cc, "position"))
         if kind == "hybrid":
-            return hybrid_position_topology(_build_channel(cc))
+            return CascadeLoop(_build_channel(cc))
         if kind == "hybrid-simultaneous":
-            return hybrid_simultaneous_topology(_build_channel(cc, "angle_"),
-                                                _build_channel(cc, "position_"))
+            return SimultaneousLoop(_build_channel(cc, "angle_"),
+                                    _build_channel(cc, "position_"))
     except (ValueError, ConvergenceError) as exc:
         raise ConfigError(f"[controller] {exc}") from None
     raise ConfigError(f"[controller] kind: unknown kind {kind!r}")

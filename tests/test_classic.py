@@ -402,6 +402,7 @@ def test_cascade_zero_inner_gains_is_the_position_loop_bit_for_bit(inner):
         u_single, single_state = pid_step(pos, single_state, e, 1e-3)
         assert type(single_state) is PidState
         assert cascade.step(r, State(math.pi, 0.0, x, xd), 1e-3).hex() == u_single.hex()
+    assert cascade.inner is None
 
 
 def test_cascade_first_step_has_no_derivative_kick():
@@ -414,6 +415,54 @@ def test_cascade_first_step_has_no_derivative_kick():
 def test_simultaneous_equilibrium_zero_force():
     ctrl = pid_simultaneous_topology()
     assert ctrl.step(0.3, State(0.0, 0.0, 0.3, 0.0), 1e-3) == 0.0
+
+
+class _SimultaneousOracle:
+    """The inline PID simultaneous law SimultaneousLoop replaced, kept as its reference."""
+
+    def __init__(self, angle_gains, position_gains):
+        self._ang_g = angle_gains
+        self._pos_g = position_gains
+        self._ang_s = None
+        self._pos_s = None
+
+    def step(self, reference, state, dt_s):
+        e_th = -state.theta_rad
+        e_x = reference - state.x_m
+        if self._ang_s is None:
+            self._ang_s = PidState(0.0, e_th, 0.0)
+            self._pos_s = PidState(0.0, e_x, 0.0)
+        u_th, self._ang_s = pid_step(self._ang_g, self._ang_s, e_th, dt_s)
+        u_x, self._pos_s = pid_step(self._pos_g, self._pos_s, e_x, dt_s)
+        return u_th - u_x
+
+
+@pytest.mark.parametrize("filter_tau_s", [0.01, 0.0])
+def test_simultaneous_law_matches_the_inline_oracle_bit_for_bit(filter_tau_s):
+    # The oracle's angle error is -theta, the channel's 0.0 - theta: they differ
+    # only in the sign of a zero error, which the shipped gains keep out of the
+    # force. (A negative ki with no derivative filter lets it through as the
+    # sign of a zero force.)
+    angle = PidGains(30.0, 0.1, 4.0, filter_tau_s)
+    position = PidGains(1.8, 0.5, 3.0, filter_tau_s)
+    zeros = [(0.0, State(th, thd, x, xd)) for th in (0.0, -0.0) for thd in (0.0, -0.0)
+             for x in (0.0, -0.0) for xd in (0.0, -0.0)]
+    rng = np.random.default_rng(47)
+    draws = [(r, State(*s)) for r, *s in (0.3 * rng.standard_normal((2000, 5))).tolist()]
+    # each signed-zero state primes a run, follows another, and recurs among the draws
+    runs = [[z] + draws[:100] for z in zeros]
+    runs.append(zeros + zeros[::-1])
+    mixed = []
+    for k, d in enumerate(draws):
+        mixed.append(d)
+        if k % 7 == 6:
+            mixed.append(zeros[k % 16])
+    runs.append(mixed)
+    for states in runs:
+        loop = pid_simultaneous_topology(angle, position)
+        oracle = _SimultaneousOracle(angle, position)
+        for r, s in states:
+            assert loop.step(r, s, 1e-3).hex() == oracle.step(r, s, 1e-3).hex()
 
 
 def test_simultaneous_angle_loop_off_is_unstable():

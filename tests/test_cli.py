@@ -95,6 +95,30 @@ def test_largest_64_bit_seed_runs(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_at_a_file_exits_2_before_running(tmp_path, capsys, out):
+    cfg = _write(tmp_path, "a.ini", SHORT_LQR)
+    _write(tmp_path, "afile", "kept\n")
+    assert main(["run", cfg, "--out", str(tmp_path / out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.ini", "afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+# a finished run and a diverged run's partial trajectory
+@pytest.mark.parametrize("text, csv", [(SHORT_LQR, "quick-lqr.csv"), (BLOWUP, "blowup.csv")],
+                         ids=["finished", "diverged"])
+def test_unwritable_trajectory_exits_2(tmp_path, capsys, text, csv):
+    cfg = _write(tmp_path, "a.ini", text)
+    out = tmp_path / "out"
+    (out / csv).mkdir(parents=True)
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert [p.name for p in out.rglob("*")] == [csv]
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "a.ini", SHORT_LQR)
     envdir = tmp_path / "envout"

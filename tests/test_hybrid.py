@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from cartpend.classic import PidGains
+from cartpend.classic import CascadeLoop, PidChannel, PidGains, SimultaneousLoop
 from cartpend.fuzzy import fuzzy_infer, standard_fuzzy_system
 from cartpend.hybrid import (
     AdaptiveParams,
     HybridChannel,
     ReferenceModel,
-    hybrid_position_topology,
-    hybrid_simultaneous_topology,
     lambda_signals,
     mit_rule_update,
     reference_model_step,
@@ -259,14 +257,19 @@ def test_adaptation_off_structural_reduction(theta_prime):
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_channel_clamp_logging():
-    ch = HybridChannel(
+def _hot_channel():
+    """Runaway adaptation rates in a +-2 box: clamps from the first step."""
+    return HybridChannel(
         channel_gains=PidGains(1.0, 0.0, 0.0, 0.01),
         crisp_gains=PidGains(0.0, 0.0, 0.0, 0.01),
         fuzzy_system=standard_fuzzy_system(),
         adaptive=AdaptiveParams(gamma_p=1e7, gamma_i=1e7, gamma_d=1e7, gamma_prime=1e7),
         safety_bound=2.0,
     )
+
+
+def test_channel_clamp_logging():
+    ch = _hot_channel()
     for k in range(200):
         ch.step(1.0, -1.0, 0.0, 1e-2)
     assert len(ch.clamp_events) == 791
@@ -365,16 +368,16 @@ def test_channel_step_matches_the_reference_body_bit_for_bit():
     assert clipped >= 100
 
 
-# ---------------- topologies ----------------
+# ---------------- loop compositions ----------------
 
 def test_simultaneous_equilibrium_zero_output():
-    ctrl = hybrid_simultaneous_topology(_angle_channel(), _position_channel())
+    ctrl = SimultaneousLoop(_angle_channel(), _position_channel())
     for _ in range(20):
         assert ctrl.step(0.0, State(0.0, 0.0, 0.0, 0.0), 1e-3) == 0.0
 
 
 def test_simultaneous_stabilizes_small_tilt():
-    ctrl = hybrid_simultaneous_topology(_angle_channel(), _position_channel())
+    ctrl = SimultaneousLoop(_angle_channel(), _position_channel())
     cfg = SimConfig(dt_s=1e-3, duration_s=15.0, reference=ReferenceSpec(0.0, 0.0))
     traj = run_closed_loop(P, ctrl, cfg, initial_state=State(0.05, 0.0, 0.0, 0.0))
     assert abs(traj.states[-1, 0]) < 5e-3
@@ -383,7 +386,7 @@ def test_simultaneous_stabilizes_small_tilt():
 
 
 def test_simultaneous_step_keeps_pendulum_tight():
-    ctrl = hybrid_simultaneous_topology(_angle_channel(), _position_channel())
+    ctrl = SimultaneousLoop(_angle_channel(), _position_channel())
     cfg = SimConfig(dt_s=1e-3, duration_s=15.0, reference=ReferenceSpec(0.3, 0.0))
     traj = run_closed_loop(P, ctrl, cfg)
     th = np.abs(traj.states[:, 0])
@@ -395,7 +398,19 @@ def test_simultaneous_step_keeps_pendulum_tight():
 
 
 def test_position_topology_reaches_cart_reference():
-    ctrl = hybrid_position_topology(_cart_channel())
+    ctrl = CascadeLoop(_cart_channel())
     cfg = SimConfig(dt_s=1e-3, duration_s=10.0, reference=ReferenceSpec(1.0, 0.0))
     traj = run_closed_loop(P, ctrl, cfg, initial_state=State(math.pi, 0.0, 0.0, 0.0))
     assert abs(traj.states[-1, 2] - 1.0) < 0.02
+
+
+def test_compositions_report_the_clamps_of_every_channel_in_order():
+    pair = SimultaneousLoop(_hot_channel(), _hot_channel())
+    cascade = CascadeLoop(_hot_channel(), PidChannel(PidGains(8.0, 2.0, 0.0)))
+    for _ in range(50):
+        pair.step(1.0, State(0.5, 0.0, -1.0, 0.0), 1e-2)
+        cascade.step(1.0, State(0.0, 0.0, -1.0, 0.0), 1e-2)
+    assert pair.angle.clamp_events and pair.position.clamp_events
+    assert pair.clamp_events == pair.angle.clamp_events + pair.position.clamp_events
+    assert cascade.outer.clamp_events
+    assert cascade.clamp_events == cascade.outer.clamp_events

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from cartpend.classic import (
+    CascadeLoop,
     LqrWeights,
     PidGains,
+    SimultaneousLoop,
     lqr_synthesize,
     pid_position_topology,
     pid_simultaneous_topology,
@@ -19,8 +21,6 @@ from cartpend.fuzzy import standard_fuzzy_system
 from cartpend.hybrid import (
     AdaptiveParams,
     HybridChannel,
-    hybrid_position_topology,
-    hybrid_simultaneous_topology,
 )
 from cartpend.metrics import summarize
 from cartpend.scenario import (
@@ -231,8 +231,8 @@ def test_minimal_configs_build_the_library_defaults():
         "lqr": lambda cc: lqr_synthesize(linearize(PlantParams()), LqrWeights(), 2),
         "pid-position": lambda cc: pid_position_topology(),
         "pid-simultaneous": lambda cc: pid_simultaneous_topology(),
-        "hybrid": lambda cc: hybrid_position_topology(_channel(cc)),
-        "hybrid-simultaneous": lambda cc: hybrid_simultaneous_topology(
+        "hybrid": lambda cc: CascadeLoop(_channel(cc)),
+        "hybrid-simultaneous": lambda cc: SimultaneousLoop(
             _channel(cc, "angle_"), _channel(cc, "position_")),
     }
     short = SimConfig(duration_s=0.3)
