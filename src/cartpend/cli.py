@@ -119,12 +119,12 @@ def _run_into(out_dir: Path, scenarios) -> int:
             status = 2
             continue
         except SimulationFault as fault:
-            (out_dir / f"{s.name}.csv").write_text(fault.trajectory.to_csv_text())
+            fault.trajectory.write_csv(out_dir / f"{s.name}.csv")
             print(f"error: scenario {s.name} diverged at step {fault.step_index}; "
                   f"partial trajectory kept", file=sys.stderr)
             status = max(status, 1)
             continue
-        (out_dir / f"{s.name}.csv").write_text(traj.to_csv_text())
+        traj.write_csv(out_dir / f"{s.name}.csv")
         reports.append(summarize([(s.controller_kind, traj)], s.name))
 
     report_text = "".join(r.to_text() for r in reports)
@@ -143,11 +143,11 @@ def _cmd_analyze(args) -> int:
         print(f"error: --reference must be finite, got {args.reference!r}",
               file=sys.stderr)
         return 2
-    text = _read_text(args.csv)
-    if text is None:
-        return 2
     try:
-        traj = Trajectory.from_csv_text(text)
+        traj = Trajectory.read_csv(args.csv)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {args.csv}: {exc}", file=sys.stderr)
         return 2

@@ -15,9 +15,13 @@ trajectory byte for byte.
 from __future__ import annotations
 
 import functools
+import io
+import itertools
 import math
+import os
 from array import array
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -132,30 +136,54 @@ class Trajectory:
     inputs_N: np.ndarray
     references: np.ndarray
 
-    def to_csv_text(self) -> str:
-        # "%.15g" % v is the same text as format(v, ".15g"). Each chunk of
-        # rows is formatted by one repeated row template; converting a chunk
-        # at a time bounds the Python floats alive at once.
-        table = np.column_stack((self.times_s, self.states, self.inputs_N,
-                                 self.references))
+    def _csv_chunks(self):
+        # "%.15g" % v is the same text as format(v, ".15g"). One repeated row
+        # template formats a chunk, so one chunk's floats and text live at a time.
+        yield CSV_HEADER + "\n"
         row = ",".join(["%.15g"] * 7) + "\n"
-        parts = [CSV_HEADER + "\n"]
-        for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            chunk = table[start:start + _CSV_CHUNK_ROWS]
-            parts.append(row * len(chunk) % tuple(chunk.ravel().tolist()))
-        return "".join(parts)
+        columns = (self.times_s, self.states, self.inputs_N, self.references)
+        for start in range(0, len(self.times_s), _CSV_CHUNK_ROWS):
+            chunk = np.column_stack([c[start:start + _CSV_CHUNK_ROWS] for c in columns])
+            yield row * len(chunk) % tuple(chunk.ravel().tolist())
+
+    def to_csv_text(self) -> str:
+        return "".join(self._csv_chunks())
+
+    def write_csv(self, path) -> None:
+        """Write the CSV as UTF-8 chunk by chunk; ``path`` never holds a truncated run."""
+        partial = Path(f"{path}.{os.getpid()}.tmp")
+        try:
+            with open(partial, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(self._csv_chunks())
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def from_csv_text(cls, text: str) -> "Trajectory":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0] != CSV_HEADER:
+        return cls._parse_csv(io.StringIO(text, newline=None))
+
+    @classmethod
+    def read_csv(cls, path) -> "Trajectory":
+        """Parse a UTF-8 CSV file line by line, never holding its whole text."""
+        with open(path, encoding="utf-8") as fh:
+            return cls._parse_csv(fh)
+
+    @classmethod
+    def _parse_csv(cls, lines) -> "Trajectory":
+        # ``lines`` is a text file object: lines end at \n, \r\n or \r
+        header = next((ln for ln in lines if not ln.isspace()), "")
+        if header.lstrip().removesuffix("\n") != CSV_HEADER:
             raise ValueError("unrecognized trajectory csv header")
         # loadtxt only warns on an empty body and takes any uniform column
         # count, so both are checked here. It raises on ragged rows and on an
         # empty or non-numeric field, "1_0" included, which float() accepts.
-        if len(lines) == 1:
+        rows = _text_lines(lines)
+        first = next(rows, None)
+        if first is None:
             raise ValueError("trajectory csv has no data rows")
-        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(itertools.chain((first,), rows), delimiter=",", comments=None, ndmin=2)
         if data.shape[1] != 7:
             raise ValueError("trajectory csv must have 7 columns")
         # loadtxt also takes nan and inf, which a run never writes
@@ -165,6 +193,18 @@ class Trajectory:
                              f"has a non-finite value")
         return cls(times_s=data[:, 0], states=data[:, 1:5], inputs_N=data[:, 5],
                    references=data[:, 6])
+
+
+def _text_lines(lines):
+    """The non-blank lines; a whitespace-only line may only be followed by blank ones."""
+    spaced = False
+    for ln in lines:
+        if ln.isspace():
+            spaced = spaced or ln != "\n"
+        elif spaced:
+            raise ValueError("trajectory csv has a whitespace-only line between rows")
+        else:
+            yield ln
 
 
 class SimulationFault(RuntimeError):

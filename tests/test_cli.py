@@ -119,6 +119,26 @@ def test_unwritable_trajectory_exits_2(tmp_path, capsys, text, csv):
     assert [p.name for p in out.rglob("*")] == [csv]
 
 
+@pytest.mark.parametrize("text, csv", [(SHORT_LQR, "quick-lqr.csv"), (BLOWUP, "blowup.csv")],
+                         ids=["finished", "diverged"])
+def test_failed_write_leaves_no_partial_trajectory(tmp_path, capsys, monkeypatch, text, csv):
+    from cartpend.sim import Trajectory
+
+    chunks = Trajectory._csv_chunks
+
+    def fail_after_first(traj):
+        yield next(chunks(traj))
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Trajectory, "_csv_chunks", fail_after_first)
+    cfg = _write(tmp_path, "a.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert list(out.iterdir()) == []
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "a.ini", SHORT_LQR)
     envdir = tmp_path / "envout"
@@ -284,6 +304,18 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, verb):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "utf-8" in err
+
+
+def test_analyze_non_utf8_byte_deep_in_a_csv_exits_2(tmp_path, capsys):
+    # far past the first read of the stream, so it surfaces inside the parse
+    path = tmp_path / "late.csv"
+    path.write_bytes((CSV_HEADER + "\n" + "0,0,0,0,0,0,0\n" * 20_000).encode()
+                     + b"0,0,0,0,0,0,\xe9\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ") and "utf-8" in lines[0]
+    assert captured.out == ""
 
 
 def test_lqr_gain_prints_gain_and_feedforward(tmp_path, capsys):

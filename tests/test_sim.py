@@ -1,5 +1,6 @@
 """Integrator order, determinism, disturbance, and fault-path tests."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -336,6 +337,94 @@ def test_malformed_csv_raises_value_error_without_warning(malformed_csv):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             Trajectory.from_csv_text(malformed_csv)
+
+
+def _columns(traj):
+    return np.column_stack((traj.times_s, traj.states, traj.inputs_N, traj.references))
+
+
+def test_file_and_text_paths_agree_bit_for_bit(runs, tmp_path):
+    path = tmp_path / "t.csv"
+    for traj in (_edge_trajectory(), runs("cart-position-lqr-disturbance")[0]):
+        traj.write_csv(path)
+        text = traj.to_csv_text()
+        assert path.read_bytes() == text.encode("utf-8")
+        from_file = _columns(Trajectory.read_csv(path))
+        from_text = _columns(Trajectory.from_csv_text(text))
+        assert from_file.tobytes() == from_text.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_read_csv_rejects_malformed_file_without_warning(malformed_csv, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(malformed_csv, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            Trajectory.read_csv(path)
+
+
+_ROWS = ["0,0,0,0,0,0,0.3", "0.001,1e-3,-2,3.5,4,5,0.3", "0.002,1,2,3,4,-5e-300,0.3"]
+
+
+@pytest.mark.parametrize("text", [
+    CSV_HEADER + "\r\n" + "\r\n".join(_ROWS) + "\r\n",
+    "\n\n" + CSV_HEADER + "\n" + "\n".join(_ROWS) + "\n",
+    "  \n " + CSV_HEADER + "\n" + "\n".join(_ROWS) + "\n",
+    CSV_HEADER + "\n" + _ROWS[0] + "\n\n" + "\n".join(_ROWS[1:]) + "\n",
+    CSV_HEADER + "\n" + "\n".join(_ROWS),
+    CSV_HEADER + "\n" + "\n".join(_ROWS) + "\n\n \n\t\n",
+], ids=["crlf", "leading-blank-lines", "leading-whitespace", "blank-line-between-rows",
+        "no-final-newline", "trailing-blank-lines"])
+def test_both_parsers_accept_loose_layouts(text, tmp_path):
+    plain = _columns(Trajectory.from_csv_text(CSV_HEADER + "\n" + "\n".join(_ROWS) + "\n"))
+    path = tmp_path / "layout.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _columns(Trajectory.from_csv_text(text)).tobytes() == plain.tobytes()
+    assert _columns(Trajectory.read_csv(path)).tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    CSV_HEADER + "\n" + _ROWS[0] + "\n   \n" + _ROWS[1] + "\n",
+    CSV_HEADER + "  \n" + _ROWS[0] + "\n",
+    *(CSV_HEADER + "\n" + _ROWS[0] + sep + _ROWS[1] + "\n"
+      for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")),
+], ids=["whitespace-line-between-rows", "header-trailing-spaces", "vt-between-rows",
+        "ff-between-rows", "fs-between-rows", "gs-between-rows", "rs-between-rows",
+        "nel-between-rows", "line-separator-between-rows", "paragraph-separator-between-rows"])
+def test_both_parsers_reject_bad_layouts(text, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            Trajectory.from_csv_text(text)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError):
+            Trajectory.read_csv(path)
+
+
+def test_csv_write_and_read_memory_is_bounded_by_a_chunk(tmp_path):
+    # the traced peak while writing or parsing 100,001 rows, beyond the
+    # arrays themselves, is a fraction of the file: neither path holds its text
+    n = 100_001
+    rng = np.random.default_rng(11)
+    traj = Trajectory(times_s=np.arange(n) * 1e-3, states=rng.standard_normal((n, 4)),
+                      inputs_N=rng.standard_normal(n), references=np.full(n, 0.3))
+    path = tmp_path / "long.csv"
+    tracemalloc.start()
+    try:
+        traj.write_csv(path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = Trajectory.read_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert write_peak < 0.25 * size, write_peak / size
+    arrays = 7 * n * np.dtype(np.float64).itemsize
+    assert read_peak < 0.25 * size + arrays, (read_peak - arrays) / size
+    assert _columns(back).shape == (n, 7)
 
 
 def _rk4_oracle(f, state, u, dt_s):
