@@ -21,7 +21,7 @@ import argparse
 import dataclasses
 import itertools
 
-from cartpend.metrics import compute_metrics
+from cartpend.metrics import score_trajectory
 from cartpend.scenario import builtin_scenarios, run_scenario
 from cartpend.sim import SimulationFault
 
@@ -49,7 +49,7 @@ def evaluate(base, setting, gamma, duration_s):
         base, controller_config=dict(base.controller_config, **setting, gamma=gamma),
         sim=dataclasses.replace(base.sim, duration_s=duration_s))
     traj = run_scenario(s)
-    m = compute_metrics(traj.times_s, traj.states[:, 2], base.sim.reference.amplitude)
+    m = score_trajectory(traj)
     return m, float(abs(traj.states[:, 0] - traj.states[0, 0]).max())
 
 

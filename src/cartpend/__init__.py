@@ -39,6 +39,7 @@ from .metrics import (
     Metrics,
     compute_metrics,
     overshoot_pct,
+    score_trajectory,
     settling_time,
     steady_state_error,
     summarize,

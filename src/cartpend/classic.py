@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .plant import State, StateSpace
+from .plant import State, StateSpace, _rank
 
 
 class ConvergenceError(RuntimeError):
@@ -137,9 +137,7 @@ def _stabilizable(a: np.ndarray, b: np.ndarray) -> bool:
     for lam in np.linalg.eigvals(a):
         if lam.real < -1e-9:
             continue
-        pencil = np.hstack([a - lam * eye, b]).astype(complex)
-        s = np.linalg.svd(pencil, compute_uv=False)
-        if s[0] == 0.0 or np.sum(s > max(pencil.shape) * 1e-12 * s[0]) < n:
+        if _rank(np.hstack([a - lam * eye, b]).astype(complex)) < n:
             return False
     return True
 

@@ -23,12 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .classic import ConvergenceError
-from .metrics import (REPORT_CSV_HEADER, overshoot_pct, settling_time, steady_state_error,
-                      summarize)
+from .metrics import REPORT_CSV_HEADER, SETTLING_BAND, score_trajectory, summarize
 from .repro import run_comparison
-from .scenario import ConfigError, lqr_design, parse_scenario, run_scenario
-from .sim import SEED_LIMIT, SimulationFault, Trajectory
+from .scenario import ConfigError, build_controller, parse_scenario, run_scenario
+from .sim import SEED_LIMIT, SimulationFault, Trajectory, write_atomic
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     an_p.add_argument("csv")
     an_p.add_argument("--reference", type=float, default=None,
                       help="reference value (default: final logged reference)")
-    an_p.add_argument("--band", type=float, default=0.02,
-                      help="settling band fraction (default 0.02)")
+    an_p.add_argument("--band", type=float, default=SETTLING_BAND,
+                      help=f"settling band fraction (default {SETTLING_BAND})")
 
     gain_p = sub.add_parser("lqr-gain", help="print K, N, P for an lqr config")
     gain_p.add_argument("config")
@@ -128,9 +126,9 @@ def _run_into(out_dir: Path, scenarios) -> int:
         reports.append(summarize([(s.controller_kind, traj)], s.name))
 
     report_text = "".join(r.to_text() for r in reports)
-    (out_dir / "report.txt").write_text(report_text)
-    (out_dir / "report.csv").write_text(
-        REPORT_CSV_HEADER + "\n" + "".join(r.to_csv().split("\n", 1)[1] for r in reports))
+    write_atomic(out_dir / "report.txt", [report_text])
+    write_atomic(out_dir / "report.csv", [REPORT_CSV_HEADER + "\n", *(
+        r.to_csv().split("\n", 1)[1] for r in reports)])
     print(report_text, end="")
     return status
 
@@ -151,14 +149,12 @@ def _cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"error: {args.csv}: {exc}", file=sys.stderr)
         return 2
-    reference = args.reference if args.reference is not None else float(traj.references[-1])
-    position = traj.states[:, 2]
-    settle = settling_time(traj.times_s, position, reference, band_fraction=args.band)
-    settle_text = f"{settle:.4g} s" if math.isfinite(settle) else "never (outside band)"
-    print(f"reference {reference:.4g}")
+    m = score_trajectory(traj, args.reference, args.band)
+    settle_text = f"{m.settling_time_s:.4g} s" if m.settled else "never (outside band)"
+    print(f"reference {m.reference:.4g}")
     print(f"settling {settle_text}")
-    print(f"overshoot {overshoot_pct(position, reference):.4g} %")
-    print(f"steady-state error {steady_state_error(position, reference):.4g}")
+    print(f"overshoot {m.overshoot_pct:.4g} %")
+    print(f"steady-state error {m.steady_state_error:.4g}")
     return 0
 
 
@@ -171,9 +167,9 @@ def _cmd_lqr_gain(args) -> int:
               f"got {s.controller_kind!r}", file=sys.stderr)
         return 2
     try:
-        ctrl = lqr_design(s)
-    except (ValueError, ConvergenceError) as exc:
-        print(f"error: {args.config}: [controller] {exc}", file=sys.stderr)
+        ctrl = build_controller(s)
+    except ConfigError as exc:
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 2
     print(f"operating point: {s.controller_config['operating_point']}")
     print("K =", np.array2string(ctrl.k_gain, precision=6, suppress_small=True))

@@ -6,7 +6,8 @@ leaves the band again. Overshoot is the peak excursion past the reference
 in percent of the reference magnitude; for a zero reference it is the
 excursion past the initial magnitude, so a regulated state that only decays
 scores zero. Steady-state error averages the reference minus the signal
-over the final tail of the record.
+over the final tail of the record. ``score_trajectory`` picks what a run
+is judged on: the cart position against the last logged reference.
 """
 from __future__ import annotations
 
@@ -18,10 +19,11 @@ import numpy as np
 from .sim import Trajectory
 
 REPORT_CSV_HEADER = "controller,scenario,settling_s,overshoot_pct,sse"
+SETTLING_BAND = 0.02
 
 
 def settling_time(times_s, values, reference: float,
-                  band_fraction: float = 0.02) -> float:
+                  band_fraction: float = SETTLING_BAND) -> float:
     """Time after which |value - reference| stays inside the band.
 
     The band is ``band_fraction * |reference|``, or ``band_fraction`` as an
@@ -84,13 +86,24 @@ class Metrics:
     settling_time_s: float
     overshoot_pct: float
     steady_state_error: float
+    reference: float
 
 
-def compute_metrics(times_s, values, reference: float) -> Metrics:
-    s = settling_time(times_s, values, reference)
+def compute_metrics(times_s, values, reference: float,
+                    band_fraction: float = SETTLING_BAND) -> Metrics:
+    s = settling_time(times_s, values, reference, band_fraction)
     return Metrics(settled=math.isfinite(s), settling_time_s=s,
                    overshoot_pct=overshoot_pct(values, reference),
-                   steady_state_error=steady_state_error(values, reference))
+                   steady_state_error=steady_state_error(values, reference),
+                   reference=reference)
+
+
+def score_trajectory(traj: Trajectory, reference: float | None = None,
+                     band_fraction: float = SETTLING_BAND) -> Metrics:
+    """Metrics of the cart position, against the last logged reference by default."""
+    if reference is None:
+        reference = float(traj.references[-1])
+    return compute_metrics(traj.times_s, traj.states[:, 2], reference, band_fraction)
 
 
 @dataclass(frozen=True)
@@ -118,11 +131,6 @@ class Report:
 
 
 def summarize(rows, scenario_label: str) -> Report:
-    """Metrics for (name, Trajectory) pairs, judged on cart position."""
-    entries = []
-    for name, traj in rows:
-        if not isinstance(traj, Trajectory):
-            raise TypeError(f"expected Trajectory for {name!r}")
-        reference = float(traj.references[-1])
-        entries.append((name, compute_metrics(traj.times_s, traj.states[:, 2], reference)))
-    return Report(scenario_label=scenario_label, entries=tuple(entries))
+    """The scores of (name, Trajectory) pairs as one scenario's report."""
+    return Report(scenario_label=scenario_label,
+                  entries=tuple((name, score_trajectory(traj)) for name, traj in rows))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .metrics import settling_time, steady_state_error
+from .metrics import score_trajectory
 from .scenario import builtin_scenarios, lqr_design, run_scenario
 
 PUBLISHED_GAIN = (2.0960, -1.2221, 12.3828, 12.7813)
@@ -54,14 +54,6 @@ class ComparisonLine:
     observed: float
 
 
-def _measure(traj, metric: str) -> float:
-    reference = float(traj.references[-1])
-    position = traj.states[:, 2]
-    if metric == "settling":
-        return settling_time(traj.times_s, position, reference)
-    return steady_state_error(position, reference)
-
-
 def collect(progress=None) -> list:
     """Run the comparison scenarios and gather (label, published, observed) rows.
 
@@ -69,18 +61,19 @@ def collect(progress=None) -> list:
     CLI to show liveness during the multi-minute sweep.
     """
     catalog = builtin_scenarios()
-    cache = {}
+    scores = {}
     lines = []
     for scenario_name, metric, label, published in _ROWS:
-        if scenario_name not in cache:
+        if scenario_name not in scores:
             if progress is not None:
                 progress(scenario_name)
-            cache[scenario_name] = run_scenario(catalog[scenario_name])
-        lines.append(ComparisonLine(label, published,
-                                    _measure(cache[scenario_name], metric)))
+            scores[scenario_name] = score_trajectory(run_scenario(catalog[scenario_name]))
+        m = scores[scenario_name]
+        observed = m.settling_time_s if metric == "settling" else m.steady_state_error
+        lines.append(ComparisonLine(label, published, observed))
 
-    pid = next(l.observed for l in lines if l.label.startswith("cart step: pid settling"))
-    hyb = next(l.observed for l in lines if l.label.startswith("cart step: hybrid settling"))
+    pid = scores["cart-position-pid-nominal"].settling_time_s
+    hyb = scores["cart-position-hybrid-nominal"].settling_time_s
     ratio = (100.0 * hyb / pid
              if math.isfinite(hyb) and math.isfinite(pid) and pid > 0.0 else math.inf)
     lines.append(ComparisonLine("cart step: hybrid/pid settling ratio [%]", 54.0, ratio))

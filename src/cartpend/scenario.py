@@ -15,6 +15,7 @@ and hold an upright pendulum while the cart tracks a 0.3 m step.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import inspect
 import math
 import re
@@ -157,6 +158,22 @@ class Scenario:
     pendulum_length_multiplier: float
 
 
+@contextlib.contextmanager
+def _config_keys(section: str, **keys):
+    """Re-raise a library ValueError as a ConfigError naming ``[section] key``.
+
+    Library messages open with the parameter name; ``keys`` maps each name
+    a config spells differently to its config key.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, ConvergenceError) as exc:
+        name, sep, rest = str(exc).partition(" ")
+        raise ConfigError(f"[{section}] {keys.get(name, name)}{sep}{rest}") from None
+
+
 def _convert(section: str, key: str, kind: str, raw: str):
     raw = raw.strip()
     if kind == "str":
@@ -233,28 +250,23 @@ def parse_scenario(text: str) -> Scenario:
     for key, v in multipliers.items():
         if not (math.isfinite(v) and v > 0.0):
             raise ConfigError(f"[plant] {key} must be positive, got {v!r}")
-    try:
+    with _config_keys("plant"):
         plant = PlantParams(**plant_vals)
-    except ValueError as exc:
-        raise ConfigError(f"[plant] {exc}") from None
 
     sim_vals = _read_section(cp, "sim", _SIM_KEYS)
     duration = sim_vals["duration_s"]
-    try:
+    with _config_keys("sim", amplitude="reference_amplitude",
+                      step_time_s="reference_step_time_s"):
         reference = ReferenceSpec(amplitude=sim_vals["reference_amplitude"],
                                   step_time_s=sim_vals["reference_step_time_s"])
         sim = SimConfig(dt_s=sim_vals["dt_s"], duration_s=duration, reference=reference,
                         seed=sim_vals["seed"], force_limit_N=sim_vals["force_limit_N"])
-    except ValueError as exc:
-        raise ConfigError(f"[sim] {exc}") from None
     if cp.has_section("disturbance") or meta["condition"] == "disturbance":
         dist_args = _read_section(cp, "disturbance", _DISTURBANCE_KEYS)
         if dist_args["end_s"] is None:
             dist_args["end_s"] = duration
-        try:
+        with _config_keys("disturbance"):
             sim = replace(sim, disturbance=DisturbanceSpec(**dist_args))
-        except ValueError as exc:
-            raise ConfigError(f"[disturbance] {exc}") from None
 
     return Scenario(name=meta["name"], condition=meta["condition"], plant=plant,
                     controller_kind=kind, controller_config=controller_config,
@@ -323,23 +335,27 @@ def effective_plant(s: Scenario) -> PlantParams:
 
 
 def _gains(cc: dict, loop: str) -> PidGains:
-    return PidGains(cc[loop + "_kp"], cc[loop + "_ki"], cc[loop + "_kd"], cc["filter_tau_s"])
+    with _config_keys("controller", kp=loop + "_kp", ki=loop + "_ki", kd=loop + "_kd"):
+        return PidGains(cc[loop + "_kp"], cc[loop + "_ki"], cc[loop + "_kd"],
+                        cc["filter_tau_s"])
 
 
 def _build_channel(cc: dict, prefix: str = "") -> HybridChannel:
     # hybrid-simultaneous configs have no fuzzy shape keys: the standard shape
     rules = ladder_rule_table(7)
-    system = FuzzySystem(
-        input1_peaks=cc.get("input1_peaks", STANDARD_PEAKS),
-        input2_peaks=cc.get("input2_peaks", STANDARD_PEAKS),
-        output_centers=cc.get("output_centers", STANDARD_PEAKS),
-        rule_table=tuple(cc.get(f"rule_row{i}", row) for i, row in enumerate(rules)),
-        input1_scale=cc[prefix + "input1_scale"],
-        input2_scale=cc[prefix + "input2_scale"],
-        output_scale=cc[prefix + "output_scale"])
+    scales = {name: prefix + name for name in ("input1_scale", "input2_scale", "output_scale")}
+    with _config_keys("controller", **scales):
+        system = FuzzySystem(
+            input1_peaks=cc.get("input1_peaks", STANDARD_PEAKS),
+            input2_peaks=cc.get("input2_peaks", STANDARD_PEAKS),
+            output_centers=cc.get("output_centers", STANDARD_PEAKS),
+            rule_table=tuple(cc.get(f"rule_row{i}", row) for i, row in enumerate(rules)),
+            **{name: cc[key] for name, key in scales.items()})
     gamma = cc["gamma"]
-    adaptive = AdaptiveParams(gamma_p=gamma, gamma_i=gamma, gamma_d=gamma,
-                              gamma_prime=gamma)
+    # the one gamma key sets all four rates, and gamma_p is checked first
+    with _config_keys("controller", gamma_p="gamma"):
+        adaptive = AdaptiveParams(gamma_p=gamma, gamma_i=gamma, gamma_d=gamma,
+                                  gamma_prime=gamma)
     return HybridChannel(
         channel_gains=_gains(cc, prefix + "channel"),
         crisp_gains=_gains(cc, prefix + "crisp"),
@@ -358,7 +374,11 @@ def lqr_design(s: Scenario) -> LqrController:
     state about that point and carries the Riccati solution its gain came from.
     """
     cc = s.controller_config
-    weights = LqrWeights(q=np.diag([cc[key] for key in _Q_KEYS]), r=cc["r"])
+    # a q error is about the first non-finite weight, else the smallest one
+    worst = next((key for key in _Q_KEYS if not math.isfinite(cc[key])),
+                 min(_Q_KEYS, key=cc.get))
+    with _config_keys("controller", q=worst):
+        weights = LqrWeights(q=np.diag([cc[key] for key in _Q_KEYS]), r=cc["r"])
     theta_e = _OPERATING_POINTS[cc["operating_point"]]
     return lqr_synthesize(linearize_at(s.plant, theta_e), weights, tracked_output_index=2,
                           equilibrium=State(theta_e, 0.0, 0.0, 0.0))
@@ -373,7 +393,7 @@ def build_controller(s: Scenario):
     """
     cc = s.controller_config
     kind = s.controller_kind
-    try:
+    with _config_keys("controller"):
         if kind == "lqr":
             return lqr_design(s)
         if kind == "pid-position":
@@ -385,8 +405,6 @@ def build_controller(s: Scenario):
         if kind == "hybrid-simultaneous":
             return SimultaneousLoop(_build_channel(cc, "angle_"),
                                     _build_channel(cc, "position_"))
-    except (ValueError, ConvergenceError) as exc:
-        raise ConfigError(f"[controller] {exc}") from None
     raise ConfigError(f"[controller] kind: unknown kind {kind!r}")
 
 

@@ -15,7 +15,6 @@ trajectory byte for byte.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import math
 import os
@@ -146,23 +145,9 @@ class Trajectory:
             chunk = np.column_stack([c[start:start + _CSV_CHUNK_ROWS] for c in columns])
             yield row * len(chunk) % tuple(chunk.ravel().tolist())
 
-    def to_csv_text(self) -> str:
-        return "".join(self._csv_chunks())
-
     def write_csv(self, path) -> None:
         """Write the CSV as UTF-8 chunk by chunk; ``path`` never holds a truncated run."""
-        partial = Path(f"{path}.{os.getpid()}.tmp")
-        try:
-            with open(partial, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(self._csv_chunks())
-            os.replace(partial, path)
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            raise
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "Trajectory":
-        return cls._parse_csv(io.StringIO(text, newline=None))
+        write_atomic(path, self._csv_chunks())
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
@@ -193,6 +178,22 @@ class Trajectory:
                              f"has a non-finite value")
         return cls(times_s=data[:, 0], states=data[:, 1:5], inputs_N=data[:, 5],
                    references=data[:, 6])
+
+
+def write_atomic(path, chunks) -> None:
+    """Write text ``chunks`` as UTF-8 to ``path``, which ends up whole or untouched.
+
+    The chunks go to ``<path>.<pid>.tmp`` in the same directory, which is
+    renamed onto ``path`` after the last one; on any exception it is removed.
+    """
+    partial = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _text_lines(lines):
@@ -259,9 +260,11 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
         raise ValueError(f"non-finite initial state {tuple(initial_state)}")
     n = config.step_count
     dt = config.dt_s
+    amplitude = float(config.reference.amplitude)
+    step_time = config.reference.step_time_s
+    # the loop makes each t and r itself, equal to these entries: k * dt is arange's product
     times = np.arange(n + 1) * dt
-    refs = np.where(times >= config.reference.step_time_s,
-                    config.reference.amplitude, 0.0)
+    refs = np.where(times >= step_time, amplitude, 0.0)
     log = array("d", initial_state)
     forces = array("d")
 
@@ -282,7 +285,9 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
             times_s=times[:k + 1].copy(), states=np.array(log).reshape(k + 1, 4),
             inputs_N=inputs, references=refs[:k + 1].copy()))
 
-    for k, t, r in zip(range(n), times.tolist(), refs.tolist()):
+    for k in range(n):
+        t = k * dt
+        r = amplitude if t >= step_time else 0.0
         # on a quiet run + 0.0 still turns a -0.0 force into 0.0
         u = control(r, s, dt) + (0.0 if quiet else disturbance_sample(disturbance, t, rng))
         if lim is not None:

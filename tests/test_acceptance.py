@@ -38,7 +38,7 @@ from cartpend.classic import (
 )
 from cartpend.fuzzy import fuzzify, fuzzy_infer, standard_fuzzy_system
 from cartpend.hybrid import AdaptiveParams, HybridChannel
-from cartpend.metrics import overshoot_pct, settling_time, steady_state_error
+from cartpend.metrics import overshoot_pct, score_trajectory, settling_time, steady_state_error
 from cartpend.plant import PlantParams, State, StateSpace, linearize, linearize_at, nonlinear_derivative
 from cartpend import repro
 from cartpend.scenario import builtin_scenarios, run_scenario
@@ -67,11 +67,11 @@ def _report(num, ok, detail):
 
 
 def _settle(traj):
-    return settling_time(traj.times_s, traj.states[:, 2], traj.references[-1])
+    return score_trajectory(traj).settling_time_s
 
 
 def _sse(traj):
-    return steady_state_error(traj.states[:, 2], traj.references[-1])
+    return score_trajectory(traj).steady_state_error
 
 
 # ---------------- 1: published gain reproduction ----------------
@@ -413,14 +413,16 @@ def test_criterion_7_metric_closed_forms():
 
 # ---------------- 8: reproducibility ----------------
 
-def test_criterion_8_reproducibility():
+def test_criterion_8_reproducibility(tmp_path):
     from cartpend.metrics import summarize
 
     cat = builtin_scenarios()
     s = cat["cart-position-lqr-disturbance"]
 
     t1, t2 = run_scenario(s), run_scenario(s)
-    csv_same = t1.to_csv_text() == t2.to_csv_text()
+    t1.write_csv(tmp_path / "1.csv")
+    t2.write_csv(tmp_path / "2.csv")
+    csv_same = (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
     r1 = summarize([("lqr", t1)], s.name).to_text()
     r2 = summarize([("lqr", t2)], s.name).to_text()
     ok = csv_same and r1 == r2

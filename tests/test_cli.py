@@ -139,6 +139,45 @@ def test_failed_write_leaves_no_partial_trajectory(tmp_path, capsys, monkeypatch
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("report", ["report.txt", "report.csv"])
+def test_failed_report_write_leaves_no_partial_report(tmp_path, capsys, monkeypatch, report):
+    import builtins
+
+    import cartpend.sim
+
+    class DiskFull:
+        """A file that takes half of what it is given, then fails as a full disk does."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            text = "".join(chunks)
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    def open_failing_report(path, *args, **kwargs):
+        fh = builtins.open(path, *args, **kwargs)
+        return DiskFull(fh) if os.path.basename(path).startswith(report) else fh
+
+    monkeypatch.setattr(cartpend.sim, "open", open_failing_report, raising=False)
+    cfg = _write(tmp_path, "a.ini", SHORT_LQR)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    # report.txt is written before report.csv; no temporary file is left
+    kept = {"report.txt": ["quick-lqr.csv"], "report.csv": ["quick-lqr.csv", "report.txt"]}
+    assert sorted(p.name for p in out.iterdir()) == kept[report]
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "a.ini", SHORT_LQR)
     envdir = tmp_path / "envout"
@@ -188,8 +227,28 @@ def test_non_finite_gain_exits_2_and_other_runs_finish(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", bad, good, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "[controller] kp must be finite" in err and "diverged" not in err
+    assert "[controller] position_kp must be finite" in err and "diverged" not in err
     assert (out / "quick-lqr.csv").exists() and not (out / "blowup.csv").exists()
+
+
+@pytest.mark.parametrize("kind, section, key, value", [
+    ("lqr", "sim", "reference_amplitude", "nan"),
+    ("pid-position", "controller", "position_kp", "inf"),
+    ("hybrid", "controller", "gamma", "-1"),
+    ("lqr", "controller", "q_x", "-5"),
+    ("hybrid-simultaneous", "controller", "position_output_scale", "-1"),
+])
+def test_bad_value_message_names_the_config_key(tmp_path, capsys, kind, section, key, value):
+    settings = {"controller": f"kind = {kind}\n", "sim": "duration_s = 1\n"}
+    settings[section] += f"{key} = {value}\n"
+    text = "[scenario]\nname = bad\n\n" + "".join(
+        f"[{name}]\n{body}\n" for name, body in settings.items())
+    cfg = _write(tmp_path, "a.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and f": [{section}] {key} must be " in lines[0], lines
+    assert not (out / "bad.csv").exists()
 
 
 @pytest.mark.parametrize("angle", ["inf", "nan"])

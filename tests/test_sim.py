@@ -25,6 +25,13 @@ from cartpend.sim import (
 P = PlantParams()
 
 
+def _csv_text(traj, tmp_path):
+    """The text ``write_csv`` gives ``traj``, read back byte for byte."""
+    path = tmp_path / "traj.csv"
+    traj.write_csv(path)
+    return path.read_bytes().decode("utf-8")
+
+
 class _ZeroController:
     def step(self, reference, state, dt_s):
         return 0.0
@@ -96,7 +103,7 @@ def test_zero_everything_stays_at_origin():
     assert np.all(traj.inputs_N == 0.0)
 
 
-def test_determinism_identical_runs():
+def test_determinism_identical_runs(tmp_path):
     cfg = SimConfig(
         dt_s=1e-3,
         duration_s=2.0,
@@ -108,7 +115,7 @@ def test_determinism_identical_runs():
     t2 = run_closed_loop(P, _ZeroController(), cfg, initial_state=State(math.pi, 0, 0, 0))
     assert np.array_equal(t1.states, t2.states)
     assert np.array_equal(t1.inputs_N, t2.inputs_N)
-    assert t1.to_csv_text() == t2.to_csv_text()
+    assert _csv_text(t1, tmp_path) == _csv_text(t2, tmp_path)
 
 
 def test_seed_changes_disturbed_trajectory():
@@ -217,13 +224,13 @@ def test_finite_state_whose_sum_overflows_does_not_fault():
     assert math.isinf(sum(traj.states[-1].tolist()))
 
 
-def test_negative_zero_force_is_written_as_zero():
+def test_negative_zero_force_is_written_as_zero(tmp_path):
     class NegativeZero:
         def step(self, reference, state, dt_s):
             return -0.0
 
     cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference=ReferenceSpec(0.0, 0.0))
-    rows = run_closed_loop(P, NegativeZero(), cfg).to_csv_text().splitlines()[1:]
+    rows = _csv_text(run_closed_loop(P, NegativeZero(), cfg), tmp_path).splitlines()[1:]
     assert [row.split(",")[5] for row in rows] == ["0"] * 11
 
 
@@ -270,13 +277,12 @@ def test_trajectory_shape_and_times():
     assert np.all(traj.references[:k] == 0.0) and np.all(traj.references[k:] == 1.0)
 
 
-def test_csv_header_and_round_trip():
+def test_csv_header_and_round_trip(tmp_path):
     cfg = SimConfig(dt_s=1e-3, duration_s=0.05, reference=ReferenceSpec(0.3, 0.0),
                     disturbance=DisturbanceSpec("uniform_noise", 0.5, 0.0, 0.05))
     traj = run_closed_loop(P, _ZeroController(), cfg, initial_state=State(math.pi, 0, 0, 0))
-    text = traj.to_csv_text()
-    assert text.splitlines()[0] == "t,theta,theta_dot,x,x_dot,u,ref"
-    back = Trajectory.from_csv_text(text)
+    assert _csv_text(traj, tmp_path).splitlines()[0] == "t,theta,theta_dot,x,x_dot,u,ref"
+    back = Trajectory.read_csv(tmp_path / "traj.csv")
     assert np.allclose(back.times_s, traj.times_s, rtol=1e-14, atol=1e-18)
     assert np.allclose(back.states, traj.states, rtol=1e-14, atol=1e-18)
     assert np.allclose(back.inputs_N, traj.inputs_N, rtol=1e-14, atol=1e-18)
@@ -311,20 +317,22 @@ def _edge_trajectory():
                       references=table[:, 6])
 
 
-def test_csv_writer_matches_the_per_value_oracle_byte_for_byte(runs):
+def test_csv_writer_matches_the_per_value_oracle_byte_for_byte(runs, tmp_path):
     for traj in (_edge_trajectory(), runs("cart-position-lqr-disturbance")[0]):
-        got = traj.to_csv_text().splitlines()
+        got = _csv_text(traj, tmp_path).splitlines()
         want = _csv_text_oracle(traj).splitlines()
         # report the first differing line, not a diff of megabytes of text
         wrong = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
         assert wrong is None, (wrong, got[wrong], want[wrong])
         assert len(got) == len(want)
+    # the temporary file was renamed onto the CSV
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
 
 
-def test_csv_parser_matches_the_float_oracle_bit_for_bit(runs):
+def test_csv_parser_matches_the_float_oracle_bit_for_bit(runs, tmp_path):
     for traj in (_edge_trajectory(), runs("cart-position-lqr-disturbance")[0]):
-        text = traj.to_csv_text()
-        back = Trajectory.from_csv_text(text)
+        text = _csv_text(traj, tmp_path)
+        back = Trajectory.read_csv(tmp_path / "traj.csv")
         parsed = np.column_stack((back.times_s, back.states, back.inputs_N, back.references))
         want = _csv_parse_oracle(text)
         assert parsed.shape == want.shape
@@ -332,32 +340,23 @@ def test_csv_parser_matches_the_float_oracle_bit_for_bit(runs):
         assert same, np.argwhere(parsed.view(np.uint64) != want.view(np.uint64))[:3]
 
 
-def test_malformed_csv_raises_value_error_without_warning(malformed_csv):
+def test_malformed_csv_raises_value_error_without_warning(malformed_csv, tmp_path):
+    # the same bodies with \r\n line ends
+    path = tmp_path / "bad.csv"
+    path.write_text(malformed_csv, encoding="utf-8", newline="\r\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
-            Trajectory.from_csv_text(malformed_csv)
+            Trajectory.read_csv(path)
 
 
 def _columns(traj):
     return np.column_stack((traj.times_s, traj.states, traj.inputs_N, traj.references))
 
 
-def test_file_and_text_paths_agree_bit_for_bit(runs, tmp_path):
-    path = tmp_path / "t.csv"
-    for traj in (_edge_trajectory(), runs("cart-position-lqr-disturbance")[0]):
-        traj.write_csv(path)
-        text = traj.to_csv_text()
-        assert path.read_bytes() == text.encode("utf-8")
-        from_file = _columns(Trajectory.read_csv(path))
-        from_text = _columns(Trajectory.from_csv_text(text))
-        assert from_file.tobytes() == from_text.tobytes()
-    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
-
-
 def test_read_csv_rejects_malformed_file_without_warning(malformed_csv, tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text(malformed_csv, encoding="utf-8")
+    path.write_text(malformed_csv, encoding="utf-8", newline="")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
@@ -377,10 +376,10 @@ _ROWS = ["0,0,0,0,0,0,0.3", "0.001,1e-3,-2,3.5,4,5,0.3", "0.002,1,2,3,4,-5e-300,
 ], ids=["crlf", "leading-blank-lines", "leading-whitespace", "blank-line-between-rows",
         "no-final-newline", "trailing-blank-lines"])
 def test_both_parsers_accept_loose_layouts(text, tmp_path):
-    plain = _columns(Trajectory.from_csv_text(CSV_HEADER + "\n" + "\n".join(_ROWS) + "\n"))
+    # read_csv and the per-value oracle give the same bits
+    plain = _csv_parse_oracle(CSV_HEADER + "\n" + "\n".join(_ROWS) + "\n")
     path = tmp_path / "layout.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert _columns(Trajectory.from_csv_text(text)).tobytes() == plain.tobytes()
     assert _columns(Trajectory.read_csv(path)).tobytes() == plain.tobytes()
 
 
@@ -393,12 +392,10 @@ def test_both_parsers_accept_loose_layouts(text, tmp_path):
         "ff-between-rows", "fs-between-rows", "gs-between-rows", "rs-between-rows",
         "nel-between-rows", "line-separator-between-rows", "paragraph-separator-between-rows"])
 def test_both_parsers_reject_bad_layouts(text, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
-            Trajectory.from_csv_text(text)
-        path = tmp_path / "bad.csv"
-        path.write_bytes(text.encode("utf-8"))
         with pytest.raises(ValueError):
             Trajectory.read_csv(path)
 
