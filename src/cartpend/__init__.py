@@ -26,7 +26,6 @@ from .fuzzy import (
     FuzzySystem,
     fuzzy_infer,
     fuzzify,
-    standard_fuzzy_system,
 )
 from .hybrid import (
     AdaptiveParams,
@@ -42,15 +41,11 @@ from .metrics import (
     score_trajectory,
     settling_time,
     steady_state_error,
-    summarize,
 )
 from .plant import (
     PlantParams,
     State,
     StateSpace,
-    SystemAssessment,
-    assess,
-    linearize,
     linearize_at,
     mechanical_energy,
     nonlinear_derivative,

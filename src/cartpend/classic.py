@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .plant import State, StateSpace, _rank
+from .plant import State, StateSpace
 
 
 class ConvergenceError(RuntimeError):
@@ -130,6 +130,13 @@ class LqrWeights:
             raise ValueError(f"r must be positive, got {self.r!r}")
 
 
+def _rank(mat: np.ndarray) -> int:
+    s = np.linalg.svd(mat, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > max(mat.shape) * 1e-12 * s[0]))
+
+
 def _stabilizable(a: np.ndarray, b: np.ndarray) -> bool:
     # PBH test on the closed right half plane
     n = a.shape[0]
@@ -140,6 +147,22 @@ def _stabilizable(a: np.ndarray, b: np.ndarray) -> bool:
         if _rank(np.hstack([a - lam * eye, b]).astype(complex)) < n:
             return False
     return True
+
+
+def _unweighted_axis_mode(a: np.ndarray, q: np.ndarray):
+    # PBH test of (Q, A) on the imaginary axis: an eigenvalue whose mode Q does
+    # not see, or None. Each block is scaled to a unit largest entry, so that
+    # neither sets the rank threshold for the other.
+    n = a.shape[0]
+    q_unit = q / (np.max(np.abs(q)) or 1.0)
+    for lam in np.linalg.eigvals(a):
+        if abs(lam.real) > 1e-9:
+            continue
+        shifted = a - lam * np.eye(n)
+        shifted = shifted / (np.max(np.abs(shifted)) or 1.0)
+        if _rank(np.vstack([shifted, q_unit]).astype(complex)) < n:
+            return lam
+    return None
 
 
 def _lyapunov_solve(a_cl: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -166,26 +189,28 @@ def _care_residual(a, b, q, r, p) -> float:
 _RDE_DT = 1e-3
 _HORIZON_S = 50.0
 _CHECK_EVERY = 100
+_TOL = 1e-9  # residual at which the polish returns at once
+_ACCEPT = 1e-8  # residual at which a stalled polish still returns its best P
 
 
 # A diverging sweep or polish is caught by the finiteness and residual checks
 # below, so numpy's overflow warnings on the way there are noise.
 @np.errstate(over="ignore", invalid="ignore")
-def solve_care(ss: StateSpace, weights: LqrWeights, tol: float = 1e-9) -> np.ndarray:
+def solve_care(ss: StateSpace, weights: LqrWeights) -> np.ndarray:
     """Stabilizing solution of A'P + PA - PB(1/r)B'P + Q = 0.
 
+    ValueError, before any iteration, when none exists: (A, B) is not
+    stabilizable, or Q leaves a mode of A on the imaginary axis unweighted.
     Phase one integrates the matrix Riccati flow dP/dtau = A'P + PA -
     PB(1/r)B'P + Q from P = 0 (fixed-step RK4, 1 ms, up to 50 s) until the
     gain it implies is stabilizing. It tests P for finiteness only at each
     100-step gain check: a non-finite entry stays non-finite, so a diverged
     flow is still caught there. Phase two polishes by Newton iteration, each
-    step an exact Lyapunov solve, and demands residual <= tol. The seed gain
-    can be barely stabilizing, so the early Newton steps may overshoot
-    before the quadratic regime; 50 direct steps are allowed for that. If
-    they end above tol, the polish goes on in increment form, solving for
-    the correction to P from the residual matrix, until the residual is
-    within tol or three steps bring no improvement; the error then carries
-    the best residual reached.
+    step an exact Lyapunov solve: up to 50 direct steps, since the seed gain
+    can be barely stabilizing, then steps in increment form, solving for the
+    correction to P from the residual matrix. It returns the first P with
+    residual <= 1e-9. Once three steps bring no improvement, it returns the
+    best P if that residual is <= 1e-8, and else raises with it.
     """
     a = np.asarray(ss.a, float)
     b = np.asarray(ss.b, float)
@@ -198,6 +223,9 @@ def solve_care(ss: StateSpace, weights: LqrWeights, tol: float = 1e-9) -> np.nda
     r = float(weights.r)
     if not _stabilizable(a, b):
         raise ValueError("(A, B) is not stabilizable; no stabilizing solution exists")
+    if (lam := _unweighted_axis_mode(a, q)) is not None:
+        raise ValueError(f"q leaves the mode of A at eigenvalue {complex(lam):.3g} "
+                         "unweighted; no stabilizing solution exists")
 
     g = b @ b.T / r
     a_t = a.T
@@ -235,23 +263,25 @@ def solve_care(ss: StateSpace, weights: LqrWeights, tol: float = 1e-9) -> np.nda
         p = _lyapunov_solve(a - b @ k, q + k.T @ (r * k))
         p = 0.5 * (p + p.T)
         res = _care_residual(a, b, q, r, p)
-        if res <= tol:
+        if res <= _TOL:
             return p
     # Kleinman's step again, solved for the increment: (A - BK)'D + D(A - BK)
     # = -R(P), P <- P + D. Once ||P|| is large, the direct form loses to
     # cancellation what the increment form keeps.
-    best, stalled = res, 0
+    best, best_p, stalled = res, p, 0
     while stalled < 3:
         k = (b.T @ p) / r
         p = p + _lyapunov_solve(a - b @ k, _riccati_residual(a, b, q, r, p))
         p = 0.5 * (p + p.T)
         res = _care_residual(a, b, q, r, p)
-        if res <= tol:
+        if res <= _TOL:
             return p
         if res < best:
-            best, stalled = res, 0
+            best, best_p, stalled = res, p, 0
         else:
             stalled += 1
+    if best <= _ACCEPT:
+        return best_p
     raise ConvergenceError("Newton polish did not reach tolerance", best)
 
 

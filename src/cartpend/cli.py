@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import REPORT_CSV_HEADER, SETTLING_BAND, score_trajectory, summarize
+from .metrics import (REPORT_CSV_HEADER, SETTLING_BAND, report_csv_row, report_text,
+                      score_trajectory)
 from .repro import run_comparison
 from .scenario import ConfigError, build_controller, parse_scenario, run_scenario
 from .sim import SEED_LIMIT, SimulationFault, Trajectory, write_atomic
@@ -107,7 +108,7 @@ def _cmd_run(args) -> int:
 def _run_into(out_dir: Path, scenarios) -> int:
     """Make ``out_dir`` before anything runs, then write each CSV and the reports."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
+    scored = []  # (scenario, controller, Metrics) of each finished run
     status = 0
     for s in scenarios:
         try:
@@ -123,13 +124,13 @@ def _run_into(out_dir: Path, scenarios) -> int:
             status = max(status, 1)
             continue
         traj.write_csv(out_dir / f"{s.name}.csv")
-        reports.append(summarize([(s.controller_kind, traj)], s.name))
+        scored.append((s.name, s.controller_kind, score_trajectory(traj)))
 
-    report_text = "".join(r.to_text() for r in reports)
-    write_atomic(out_dir / "report.txt", [report_text])
-    write_atomic(out_dir / "report.csv", [REPORT_CSV_HEADER + "\n", *(
-        r.to_csv().split("\n", 1)[1] for r in reports)])
-    print(report_text, end="")
+    text = "".join(report_text(*row) for row in scored)
+    write_atomic(out_dir / "report.txt", [text])
+    write_atomic(out_dir / "report.csv",
+                 [REPORT_CSV_HEADER + "\n", *(report_csv_row(*row) for row in scored)])
+    print(text, end="")
     return status
 
 

@@ -37,18 +37,26 @@ def fuzzify(peaks: Tuple[float, ...], v: float) -> Tuple[int, float, float]:
     return k, (b - v) / (b - a), (v - a) / (b - a)
 
 
+STANDARD_PEAKS = tuple((k - 3) / 3.0 for k in range(7))
+
+
+def ladder_rule_table(n: int) -> Tuple[Tuple[int, ...], ...]:
+    half = (n - 1) // 2
+    return tuple(tuple(min(max(i + j - half, 0), n - 1) for j in range(n)) for i in range(n))
+
+
 @dataclass(frozen=True)
 class FuzzySystem:
     """Ladder peaks per input, output centers, rule table and scales.
 
     ``rule_table[i][j]`` indexes ``output_centers`` for input-1 term i and
     input-2 term j. Peaks and centers are validated once and stored as
-    float tuples.
+    float tuples. The defaults are the standard seven-term system.
     """
-    input1_peaks: Tuple[float, ...]
-    input2_peaks: Tuple[float, ...]
-    output_centers: Tuple[float, ...]
-    rule_table: Tuple[Tuple[int, ...], ...]
+    input1_peaks: Tuple[float, ...] = STANDARD_PEAKS
+    input2_peaks: Tuple[float, ...] = STANDARD_PEAKS
+    output_centers: Tuple[float, ...] = STANDARD_PEAKS
+    rule_table: Tuple[Tuple[int, ...], ...] = ladder_rule_table(7)
     input1_scale: float = 1.0
     input2_scale: float = 1.0
     output_scale: float = 1.0
@@ -71,36 +79,15 @@ class FuzzySystem:
         if len(self.rule_table) != n1 or any(len(row) != n2 for row in self.rule_table):
             raise ValueError("rule table shape must match the peak counts")
         nc = len(self.output_centers)
-        for row in self.rule_table:
+        for i, row in enumerate(self.rule_table):
             for idx in row:
                 if not (0 <= idx < nc):
-                    raise ValueError(f"rule index {idx} outside the output centers")
+                    raise ValueError(f"rule_table[{i}] must be indices of the {nc} "
+                                     f"output centers, got {idx}")
         for name in ("input1_scale", "input2_scale", "output_scale"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive, got {v!r}")
-
-
-STANDARD_PEAKS = tuple((k - 3) / 3.0 for k in range(7))
-
-
-def ladder_rule_table(n: int) -> Tuple[Tuple[int, ...], ...]:
-    half = (n - 1) // 2
-    return tuple(tuple(min(max(i + j - half, 0), n - 1) for j in range(n)) for i in range(n))
-
-
-def standard_fuzzy_system(input1_scale: float = 1.0, input2_scale: float = 1.0,
-                          output_scale: float = 1.0) -> FuzzySystem:
-    """The seven-term odd-symmetric system used by the hybrid channels."""
-    return FuzzySystem(
-        input1_peaks=STANDARD_PEAKS,
-        input2_peaks=STANDARD_PEAKS,
-        output_centers=STANDARD_PEAKS,
-        rule_table=ladder_rule_table(7),
-        input1_scale=input1_scale,
-        input2_scale=input2_scale,
-        output_scale=output_scale,
-    )
 
 
 def fuzzy_infer(system: FuzzySystem, input1: float, input2: float) -> float:

@@ -1,4 +1,4 @@
-"""Step-response quality measures and run summaries.
+"""Step-response quality measures and report rows.
 
 Settling uses a two percent band around the reference (absolute when the
 reference is zero) and reports the first time after which the signal never
@@ -106,31 +106,15 @@ def score_trajectory(traj: Trajectory, reference: float | None = None,
     return compute_metrics(traj.times_s, traj.states[:, 2], reference, band_fraction)
 
 
-@dataclass(frozen=True)
-class Report:
-    """Per-controller metrics for one scenario, renderable as text or CSV."""
-
-    scenario_label: str
-    entries: tuple
-
-    def to_text(self) -> str:
-        lines = [f"scenario {self.scenario_label}"]
-        for name, m in self.entries:
-            settle = f"{m.settling_time_s:.4g} s" if m.settled else "not settled"
-            lines.append(f"  {name}: settling {settle}, "
-                         f"overshoot {m.overshoot_pct:.4g}%, "
-                         f"sse {m.steady_state_error:.4g}")
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        lines = [REPORT_CSV_HEADER]
-        for name, m in self.entries:
-            lines.append(f"{name},{self.scenario_label},{m.settling_time_s:.6g},"
-                         f"{m.overshoot_pct:.6g},{m.steady_state_error:.6g}")
-        return "\n".join(lines) + "\n"
+def report_text(scenario: str, controller: str, m: Metrics) -> str:
+    """One scenario's entry in ``report.txt``: a heading line and a metrics line."""
+    settle = f"{m.settling_time_s:.4g} s" if m.settled else "not settled"
+    return (f"scenario {scenario}\n"
+            f"  {controller}: settling {settle}, overshoot {m.overshoot_pct:.4g}%, "
+            f"sse {m.steady_state_error:.4g}\n")
 
 
-def summarize(rows, scenario_label: str) -> Report:
-    """The scores of (name, Trajectory) pairs as one scenario's report."""
-    return Report(scenario_label=scenario_label,
-                  entries=tuple((name, score_trajectory(traj)) for name, traj in rows))
+def report_csv_row(scenario: str, controller: str, m: Metrics) -> str:
+    """One line of ``report.csv`` under ``REPORT_CSV_HEADER``."""
+    return (f"{controller},{scenario},{m.settling_time_s:.6g},"
+            f"{m.overshoot_pct:.6g},{m.steady_state_error:.6g}\n")

@@ -1,4 +1,4 @@
-"""Cart-pole rig: nonlinear dynamics, equilibrium linearizations, system checks.
+"""Cart-pole rig: nonlinear dynamics and equilibrium linearizations.
 
 State is ``(theta, theta_dot, x, x_dot)``. ``theta`` is the pendulum angle
 measured from the upright vertical, with positive ``theta`` leaning the bob
@@ -55,14 +55,6 @@ class StateSpace:
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-
-
-@dataclass(frozen=True)
-class SystemAssessment:
-    controllable: bool
-    observable: bool
-    stable: bool
-    open_loop_poles: tuple
 
 
 def make_derivative(params: PlantParams):
@@ -144,36 +136,3 @@ def linearize_at(params: PlantParams, theta_eq_rad: float) -> StateSpace:
     b[1, 0] = cos_e / (m_cart * length)
     b[3, 0] = 1.0 / m_cart
     return StateSpace(a=a, b=b, c=np.eye(4), d=np.zeros((4, 1)))
-
-
-def linearize(params: PlantParams) -> StateSpace:
-    """Upright small-signal model; the balance task lives here."""
-    return linearize_at(params, 0.0)
-
-
-def _rank(mat: np.ndarray) -> int:
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > max(mat.shape) * 1e-12 * s[0]))
-
-
-def assess(ss: StateSpace) -> SystemAssessment:
-    """Kalman rank checks and open-loop poles for a state-space model."""
-    a, b, c = ss.a, ss.b, ss.c
-    n = a.shape[0]
-    blocks = [b]
-    for _ in range(n - 1):
-        blocks.append(a @ blocks[-1])
-    ctrb = np.hstack(blocks)
-    blocks = [c]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ a)
-    obsv = np.vstack(blocks)
-    poles = np.linalg.eigvals(a)
-    return SystemAssessment(
-        controllable=_rank(ctrb) == n,
-        observable=_rank(obsv) == n,
-        stable=bool(np.all(poles.real < 0.0)),
-        open_loop_poles=tuple(poles),
-    )

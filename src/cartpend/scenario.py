@@ -34,7 +34,7 @@ from .classic import (
     pid_position_topology,
     pid_simultaneous_topology,
 )
-from .fuzzy import STANDARD_PEAKS, FuzzySystem, ladder_rule_table
+from .fuzzy import FuzzySystem
 from .hybrid import AdaptiveParams, HybridChannel
 from .plant import PlantParams, State, linearize_at
 from .sim import DisturbanceSpec, ReferenceSpec, SimConfig, Trajectory, run_closed_loop
@@ -132,10 +132,9 @@ _CONTROLLER_SCHEMAS = {
     "hybrid": {
         **_channel_keys("", PidGains(1.5, 0.0, 1.4), PidGains(1.2, 0.0, 0.3), 12.0),
         **_ADAPTATION_KEYS,
-        "input1_peaks": ("floats", STANDARD_PEAKS),
-        "input2_peaks": ("floats", STANDARD_PEAKS),
-        "output_centers": ("floats", STANDARD_PEAKS),
-        **{f"rule_row{i}": ("ints", row) for i, row in enumerate(ladder_rule_table(7))},
+        **{name: ("floats", getattr(FuzzySystem, name))
+           for name in ("input1_peaks", "input2_peaks", "output_centers")},
+        **{f"rule_row{i}": ("ints", row) for i, row in enumerate(FuzzySystem.rule_table)},
     },
     "hybrid-simultaneous": {
         **_channel_keys("angle_", PidGains(5.0, 0.0, 1.0), PidGains(40.0, 0.0, 4.0), 8.0),
@@ -341,14 +340,15 @@ def _gains(cc: dict, loop: str) -> PidGains:
 
 
 def _build_channel(cc: dict, prefix: str = "") -> HybridChannel:
-    # hybrid-simultaneous configs have no fuzzy shape keys: the standard shape
-    rules = ladder_rule_table(7)
+    # hybrid-simultaneous configs have no fuzzy shape keys: the FuzzySystem defaults
+    rules = FuzzySystem.rule_table
     scales = {name: prefix + name for name in ("input1_scale", "input2_scale", "output_scale")}
-    with _config_keys("controller", **scales):
+    rows = {f"rule_table[{i}]": f"rule_row{i}" for i in range(len(rules))}
+    with _config_keys("controller", **scales, **rows):
         system = FuzzySystem(
-            input1_peaks=cc.get("input1_peaks", STANDARD_PEAKS),
-            input2_peaks=cc.get("input2_peaks", STANDARD_PEAKS),
-            output_centers=cc.get("output_centers", STANDARD_PEAKS),
+            input1_peaks=cc.get("input1_peaks", FuzzySystem.input1_peaks),
+            input2_peaks=cc.get("input2_peaks", FuzzySystem.input2_peaks),
+            output_centers=cc.get("output_centers", FuzzySystem.output_centers),
             rule_table=tuple(cc.get(f"rule_row{i}", row) for i, row in enumerate(rules)),
             **{name: cc[key] for name, key in scales.items()})
     gamma = cc["gamma"]
@@ -377,11 +377,11 @@ def lqr_design(s: Scenario) -> LqrController:
     # a q error is about the first non-finite weight, else the smallest one
     worst = next((key for key in _Q_KEYS if not math.isfinite(cc[key])),
                  min(_Q_KEYS, key=cc.get))
+    theta_e = _OPERATING_POINTS[cc["operating_point"]]
     with _config_keys("controller", q=worst):
         weights = LqrWeights(q=np.diag([cc[key] for key in _Q_KEYS]), r=cc["r"])
-    theta_e = _OPERATING_POINTS[cc["operating_point"]]
-    return lqr_synthesize(linearize_at(s.plant, theta_e), weights, tracked_output_index=2,
-                          equilibrium=State(theta_e, 0.0, 0.0, 0.0))
+        return lqr_synthesize(linearize_at(s.plant, theta_e), weights, tracked_output_index=2,
+                              equilibrium=State(theta_e, 0.0, 0.0, 0.0))
 
 
 def build_controller(s: Scenario):

@@ -237,15 +237,6 @@ def rk4_step(f: Derivative, state: State, u: float, dt_s: float) -> State:
                    xd + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4)))
 
 
-def disturbance_sample(spec: DisturbanceSpec, t_s: float, rng: SplitMix64) -> float:
-    """One disturbance draw; outside the window the generator is untouched."""
-    if spec.kind == "none":
-        return 0.0
-    if t_s < spec.start_s or t_s > spec.end_s:
-        return 0.0
-    return spec.amplitude_N * (2.0 * rng.uniform() - 1.0)
-
-
 def run_closed_loop(params: PlantParams, controller, config: SimConfig,
                     initial_state: State = State(0.0, 0.0, 0.0, 0.0)) -> Trajectory:
     """Simulate one controller against the nonlinear plant.
@@ -272,7 +263,9 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
     f = make_derivative(params)
     control = controller.step
     disturbance = config.disturbance
-    quiet = disturbance.kind == "none"
+    # a "none" disturbance has an empty window, so it never draws
+    start_s = disturbance.start_s if disturbance.kind != "none" else math.inf
+    end_s = disturbance.end_s
     lim = config.force_limit_N
     isfinite = math.isfinite
     s = initial_state
@@ -288,8 +281,10 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
     for k in range(n):
         t = k * dt
         r = amplitude if t >= step_time else 0.0
-        # on a quiet run + 0.0 still turns a -0.0 force into 0.0
-        u = control(r, s, dt) + (0.0 if quiet else disturbance_sample(disturbance, t, rng))
+        # the controller is asked first, then the generator, and only inside
+        # the window; where nothing is drawn, + 0.0 still turns a -0.0 force into 0.0
+        u = control(r, s, dt) + (disturbance.amplitude_N * (2.0 * rng.uniform() - 1.0)
+                                 if start_s <= t <= end_s else 0.0)
         if lim is not None:
             u = lim if u > lim else (-lim if u < -lim else u)
         if not isfinite(u):

@@ -36,10 +36,10 @@ from cartpend.classic import (
     lqr_synthesize,
     solve_care,
 )
-from cartpend.fuzzy import fuzzify, fuzzy_infer, standard_fuzzy_system
+from cartpend.fuzzy import FuzzySystem, fuzzify, fuzzy_infer
 from cartpend.hybrid import AdaptiveParams, HybridChannel
 from cartpend.metrics import overshoot_pct, score_trajectory, settling_time, steady_state_error
-from cartpend.plant import PlantParams, State, StateSpace, linearize, linearize_at, nonlinear_derivative
+from cartpend.plant import PlantParams, State, StateSpace, linearize_at, nonlinear_derivative
 from cartpend import repro
 from cartpend.scenario import builtin_scenarios, run_scenario
 from cartpend.sim import make_derivative, rk4_step
@@ -110,7 +110,7 @@ def test_criterion_1_lqr_gain_matches_published(runs):
     ])
     b_lit = np.array([[0.0], [1.0 / (M * l)], [0.0], [1.0 / M]])
     candidates = {
-        "upright": linearize(P),
+        "upright": linearize_at(P, 0.0),
         "hanging": linearize_at(P, math.pi),
         "printed": StateSpace(a=a_lit, b=b_lit, c=np.eye(4), d=np.zeros((4, 1))),
     }
@@ -157,8 +157,8 @@ def _residual(ss, w, p):
 def test_criterion_2_care_residuals():
     worst = 0.0
     w4 = LqrWeights()
-    for ss in (linearize(P), linearize_at(P, math.pi)):
-        p = solve_care(ss, w4, tol=1e-9)
+    for ss in (linearize_at(P, 0.0), linearize_at(P, math.pi)):
+        p = solve_care(ss, w4)
         worst = max(worst, _residual(ss, w4, p))
 
     rng = np.random.RandomState(2024)
@@ -171,7 +171,7 @@ def test_criterion_2_care_residuals():
                         c=np.eye(n), d=np.zeros((n, 1)))
         w = LqrWeights(q=np.eye(n), r=float(rng.uniform(0.5, 2.0)))
         try:
-            p = solve_care(ss, w, tol=1e-9)
+            p = solve_care(ss, w)
         except ValueError:
             continue  # unstabilizable draw; a Riccati refusal fails the test
         worst = max(worst, _residual(ss, w, p))
@@ -242,7 +242,7 @@ def test_criterion_4_linearization():
             col = [(x - y) / (2 * h) for x, y in zip(fp, fm)]
             worst_jac = max(worst_jac, float(np.max(np.abs(np.asarray(col) - ss.a[:, j]))))
 
-    ss = linearize(P)
+    ss = linearize_at(P, 0.0)
     ctrl = lqr_synthesize(ss, LqrWeights(), 2)
     dt, r = 1e-3, 0.01
     f_nl = make_derivative(P)
@@ -290,7 +290,7 @@ def _oracle_infer(in1, in2, s1, s2, out):
 def test_criterion_5_fuzzy_engine():
     import random
 
-    sysd = standard_fuzzy_system(0.9, 1.4, 6.0)
+    sysd = FuzzySystem(input1_scale=0.9, input2_scale=1.4, output_scale=6.0)
     rnd = random.Random(2024)
     worst = 0.0
     worst_odd = 0.0
@@ -414,7 +414,7 @@ def test_criterion_7_metric_closed_forms():
 # ---------------- 8: reproducibility ----------------
 
 def test_criterion_8_reproducibility(tmp_path):
-    from cartpend.metrics import summarize
+    from cartpend.metrics import report_text
 
     cat = builtin_scenarios()
     s = cat["cart-position-lqr-disturbance"]
@@ -423,8 +423,8 @@ def test_criterion_8_reproducibility(tmp_path):
     t1.write_csv(tmp_path / "1.csv")
     t2.write_csv(tmp_path / "2.csv")
     csv_same = (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
-    r1 = summarize([("lqr", t1)], s.name).to_text()
-    r2 = summarize([("lqr", t2)], s.name).to_text()
+    r1 = report_text(s.name, "lqr", score_trajectory(t1))
+    r2 = report_text(s.name, "lqr", score_trajectory(t2))
     ok = csv_same and r1 == r2
     _report("8", ok, (
         f"two fresh disturbed runs: csv byte-identical {csv_same}, report text identical "
@@ -454,7 +454,7 @@ def _reduction_reference(kp, ki, kd, cp, ci, cd, fsys, lam_seq, e_seq, edot_seq,
 
 
 def test_criterion_9_adaptation_reduction_and_safety(runs):
-    fsys = standard_fuzzy_system(1.0, 1.0, 5.0)
+    fsys = FuzzySystem(output_scale=5.0)
     dt = 0.01
     rs = [0.3] * 40
     ys = [0.02 * k * math.sin(0.4 * k) for k in range(40)]
@@ -477,7 +477,7 @@ def test_criterion_9_adaptation_reduction_and_safety(runs):
     hot = HybridChannel(
         channel_gains=PidGains(1.0, 0.0, 0.0, 0.01),
         crisp_gains=PidGains(0.0, 0.0, 0.0, 0.01),
-        fuzzy_system=standard_fuzzy_system(),
+        fuzzy_system=FuzzySystem(),
         adaptive=AdaptiveParams(gamma_p=1e7, gamma_i=1e7, gamma_d=1e7, gamma_prime=1e7),
         safety_bound=2.0,
     )

@@ -1,11 +1,19 @@
 """Command line interface: verbs, exit codes, output layout, reproducibility."""
+import hashlib
+import json
 import os
 import warnings
+from pathlib import Path
 
 import pytest
 
 from cartpend.cli import main
+from cartpend.metrics import REPORT_CSV_HEADER
 from cartpend.sim import CSV_HEADER
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+# report.txt of ``run`` on the 18 built-ins in catalog order
+BUILTIN_REPORT_TXT_SHA256 = "3495762851d4378ad13d898c7d54641ef8dc8307695c3a4a42bb63e3caf9d52b"
 
 SHORT_LQR = (
     "[scenario]\nname = quick-lqr\n\n"
@@ -237,6 +245,7 @@ def test_non_finite_gain_exits_2_and_other_runs_finish(tmp_path, capsys):
     ("hybrid", "controller", "gamma", "-1"),
     ("lqr", "controller", "q_x", "-5"),
     ("hybrid-simultaneous", "controller", "position_output_scale", "-1"),
+    ("hybrid", "controller", "rule_row2", "0 1 2 3 4 5 9"),
 ])
 def test_bad_value_message_names_the_config_key(tmp_path, capsys, kind, section, key, value):
     settings = {"controller": f"kind = {kind}\n", "sim": "duration_s = 1\n"}
@@ -249,6 +258,9 @@ def test_bad_value_message_names_the_config_key(tmp_path, capsys, kind, section,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and f": [{section}] {key} must be " in lines[0], lines
     assert not (out / "bad.csv").exists()
+    if section == "controller":  # the run got as far as writing the empty reports
+        assert (out / "report.txt").read_text() == ""
+        assert (out / "report.csv").read_text() == REPORT_CSV_HEADER + "\n"
 
 
 @pytest.mark.parametrize("angle", ["inf", "nan"])
@@ -385,6 +397,18 @@ def test_lqr_gain_prints_gain_and_feedforward(tmp_path, capsys):
     assert "12.38" in text  # position entry of the gain at the default weights
 
 
+def test_lqr_gain_position_weight_range(tmp_path, capsys):
+    # q_x = 3e5 needs the polish's best iterate; q_x = 0 leaves the cart's
+    # integrator mode unweighted, which is caught before the Riccati sweep
+    big = _write(tmp_path, "big.ini", SHORT_LQR.replace("kind = lqr", "kind = lqr\nq_x = 3e5"))
+    assert main(["lqr-gain", big]) == 0
+    assert "-447.213595" in capsys.readouterr().out  # -sqrt(q_x / r)
+    zero = _write(tmp_path, "zero.ini", SHORT_LQR.replace("kind = lqr", "kind = lqr\nq_x = 0"))
+    assert main(["lqr-gain", zero]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {zero}: [controller] q_x "), lines
+
+
 def test_lqr_gain_solves_the_riccati_equation_once(tmp_path, capsys, monkeypatch):
     import cartpend.classic
     import cartpend.cli
@@ -439,3 +463,23 @@ def test_no_verb_exits_2(capsys):
 
 def test_unknown_verb_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_builtin_reports_keep_their_bytes(tmp_path, capsys, monkeypatch, runs):
+    """``run`` on the built-ins writes the golden report.csv and the pinned report.txt."""
+    import cartpend.cli
+    from cartpend.scenario import builtin_scenarios, serialize_scenario
+    from cartpend.sim import Trajectory
+
+    configs = [_write(tmp_path, f"{name}.ini", serialize_scenario(s))
+               for name, s in builtin_scenarios().items()]
+    # the session's runs stand in for the simulations; their CSVs are pinned elsewhere
+    monkeypatch.setattr(cartpend.cli, "run_scenario", lambda s: runs(s.name)[0])
+    monkeypatch.setattr(Trajectory, "write_csv", lambda self, path: None)
+    out = tmp_path / "out"
+    assert main(["run", *configs, "--out", str(out)]) == 0
+    golden = json.loads(GOLDEN.read_text())["full"]["study-matrix"]["report_sha256"]
+    assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == golden
+    text = (out / "report.txt").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == BUILTIN_REPORT_TXT_SHA256
+    assert capsys.readouterr().out.encode() == text

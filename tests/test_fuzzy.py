@@ -11,7 +11,6 @@ from cartpend.fuzzy import (
     fuzzify,
     fuzzy_infer,
     ladder_rule_table,
-    standard_fuzzy_system,
 )
 
 PEAKS = [(k - 3) / 3.0 for k in range(7)]
@@ -175,7 +174,7 @@ def test_peaks_and_centers_are_stored_as_float_tuples():
 
 
 def test_nan_input_gives_nan_in_either_argument():
-    sysd = standard_fuzzy_system()
+    sysd = FuzzySystem()
     assert math.isnan(fuzzy_infer(sysd, math.nan, 0.1))
     assert math.isnan(fuzzy_infer(sysd, 0.1, math.nan))
 
@@ -218,7 +217,7 @@ def test_ladder_matches_reference_engine_bit_for_bit():
 
 
 def test_rule_table_structure():
-    sysd = standard_fuzzy_system()
+    sysd = FuzzySystem()
     rt = sysd.rule_table
     assert len(rt) == 7 and all(len(row) == 7 for row in rt)
     # odd symmetry: centers of rule(i,j) and rule(6-i,6-j) cancel
@@ -230,12 +229,12 @@ def test_rule_table_structure():
 
 
 def test_zero_in_zero_out():
-    sysd = standard_fuzzy_system()
+    sysd = FuzzySystem()
     assert fuzzy_infer(sysd, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_oracle_equivalence_1000_random_inputs():
-    sysd = standard_fuzzy_system(0.8, 1.7, 4.0)
+    sysd = FuzzySystem(input1_scale=0.8, input2_scale=1.7, output_scale=4.0)
     rnd = random.Random(42)
     for _ in range(1000):
         a = rnd.uniform(-2.5, 2.5)
@@ -244,7 +243,7 @@ def test_oracle_equivalence_1000_random_inputs():
 
 
 def test_odd_symmetry():
-    sysd = standard_fuzzy_system(1.0, 1.0, 7.5)
+    sysd = FuzzySystem(output_scale=7.5)
     rnd = random.Random(3)
     for _ in range(1000):
         a = rnd.uniform(-2.0, 2.0)
@@ -253,7 +252,7 @@ def test_odd_symmetry():
 
 
 def test_output_bounded_by_max_center():
-    sysd = standard_fuzzy_system(2.0, 0.5, 12.0)
+    sysd = FuzzySystem(input1_scale=2.0, input2_scale=0.5, output_scale=12.0)
     bound = 12.0 * max(abs(c) for c in sysd.output_centers)
     rnd = random.Random(11)
     for _ in range(500):
@@ -278,13 +277,13 @@ def test_coverage_on_dense_grid():
 
 
 def test_saturated_corner_returns_pb_center():
-    sysd = standard_fuzzy_system(1.0, 1.0, 9.0)
+    sysd = FuzzySystem(output_scale=9.0)
     assert fuzzy_infer(sysd, 10.0, 10.0) == pytest.approx(9.0 * PEAKS[6], abs=1e-12)
     assert fuzzy_infer(sysd, -10.0, -10.0) == pytest.approx(9.0 * PEAKS[0], abs=1e-12)
 
 
 def test_lipschitz_no_jumps():
-    sysd = standard_fuzzy_system()
+    sysd = FuzzySystem()
     h = 0.005
     prev = None
     for i in range(-300, 301):
@@ -302,6 +301,20 @@ def test_lipschitz_no_jumps():
 
 def test_scales_must_be_positive():
     with pytest.raises(ValueError):
-        standard_fuzzy_system(0.0, 1.0, 1.0)
+        FuzzySystem(input1_scale=0.0)
     with pytest.raises(ValueError):
-        standard_fuzzy_system(1.0, 1.0, -2.0)
+        FuzzySystem(output_scale=-2.0)
+
+
+def test_defaults_are_the_standard_seven_term_system():
+    assert FuzzySystem() == FuzzySystem(STANDARD_PEAKS, STANDARD_PEAKS, STANDARD_PEAKS,
+                                        ladder_rule_table(7))
+    assert FuzzySystem().input1_peaks == tuple(PEAKS)
+
+
+def test_bad_rule_index_names_its_row():
+    table = list(ladder_rule_table(7))
+    table[2] = (0, 1, 2, 3, 4, 5, 9)
+    with pytest.raises(ValueError, match=r"^rule_table\[2\] must be indices of the 7 "
+                                         r"output centers, got 9$"):
+        FuzzySystem(rule_table=tuple(table))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cartpend.classic import CascadeLoop, PidChannel, PidGains, SimultaneousLoop
-from cartpend.fuzzy import fuzzy_infer, standard_fuzzy_system
+from cartpend.fuzzy import FuzzySystem, fuzzy_infer
 from cartpend.hybrid import (
     AdaptiveParams,
     HybridChannel,
@@ -24,7 +24,7 @@ def _angle_channel():
     return HybridChannel(
         channel_gains=PidGains(5.0, 0.0, 1.0, 0.01),
         crisp_gains=PidGains(40.0, 0.0, 4.0, 0.01),
-        fuzzy_system=standard_fuzzy_system(1.0, 1.0, 8.0),
+        fuzzy_system=FuzzySystem(output_scale=8.0),
         adaptive=AdaptiveParams(gamma_p=0.001, gamma_i=0.001, gamma_d=0.001,
                                 gamma_prime=0.001),
     )
@@ -34,7 +34,7 @@ def _position_channel():
     return HybridChannel(
         channel_gains=PidGains(3.5, 0.0, 3.0, 0.01),
         crisp_gains=PidGains(1.5, 0.0, 3.0, 0.01),
-        fuzzy_system=standard_fuzzy_system(1.0, 1.0, 6.0),
+        fuzzy_system=FuzzySystem(output_scale=6.0),
         adaptive=AdaptiveParams(gamma_p=0.001, gamma_i=0.001, gamma_d=0.001,
                                 gamma_prime=0.001),
     )
@@ -44,7 +44,7 @@ def _cart_channel():
     return HybridChannel(
         channel_gains=PidGains(1.5, 0.0, 1.4, 0.01),
         crisp_gains=PidGains(1.2, 0.0, 0.3, 0.01),
-        fuzzy_system=standard_fuzzy_system(1.0, 1.0, 12.0),
+        fuzzy_system=FuzzySystem(output_scale=12.0),
         adaptive=AdaptiveParams(gamma_p=0.001, gamma_i=0.001, gamma_d=0.001,
                                 gamma_prime=0.001),
     )
@@ -238,7 +238,7 @@ def _reduction_reference(kp, ki, kd, cp, ci, cd, fsys, lam_seq, e_seq, edot_seq,
 @pytest.mark.parametrize("theta_prime", [0.0, 1.0])
 def test_adaptation_off_structural_reduction(theta_prime):
     # gamma = 0, theta = (1,1,1): lambda is r (theta'=0) or the error e (theta'=1)
-    fsys = standard_fuzzy_system(1.0, 1.0, 5.0)
+    fsys = FuzzySystem(output_scale=5.0)
     ch = HybridChannel(
         channel_gains=PidGains(1.1, 0.4, 0.7, 0.01),
         crisp_gains=PidGains(2.0, 0.3, 0.5, 0.01),
@@ -262,7 +262,7 @@ def _hot_channel():
     return HybridChannel(
         channel_gains=PidGains(1.0, 0.0, 0.0, 0.01),
         crisp_gains=PidGains(0.0, 0.0, 0.0, 0.01),
-        fuzzy_system=standard_fuzzy_system(),
+        fuzzy_system=FuzzySystem(),
         adaptive=AdaptiveParams(gamma_p=1e7, gamma_i=1e7, gamma_d=1e7, gamma_prime=1e7),
         safety_bound=2.0,
     )
@@ -350,8 +350,9 @@ def test_channel_step_matches_the_reference_body_bit_for_bit():
     ]
     steps = 0
     clipped = 0
-    for gains, crisp, scales, adaptive, bound, dt in cases:
-        args = (gains, crisp, standard_fuzzy_system(*scales), adaptive, bound)
+    for gains, crisp, (s1, s2, s3), adaptive, bound, dt in cases:
+        fuzzy = FuzzySystem(input1_scale=s1, input2_scale=s2, output_scale=s3)
+        args = (gains, crisp, fuzzy, adaptive, bound)
         ch, oracle = HybridChannel(*args), _ChannelOracle(*args)
         for run in range(4):  # a fresh channel, then resets: each primes its histories
             if run:

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cartpend.metrics import (
+    REPORT_CSV_HEADER,
     Metrics,
     compute_metrics,
     overshoot_pct,
+    report_csv_row,
+    report_text,
+    score_trajectory,
     settling_time,
     steady_state_error,
-    summarize,
 )
 
 
@@ -126,8 +129,7 @@ def test_compute_metrics_record():
     assert m.overshoot_pct == 0.0
 
 
-def test_summarize_ratio_line_and_csv():
-    from cartpend.plant import PlantParams, State
+def test_report_rows_text_and_csv():
     from cartpend.sim import Trajectory
 
     def fake_traj(settle_frac, ref=1.0, t_end=20.0, dt=1e-2):
@@ -139,18 +141,17 @@ def test_summarize_ratio_line_and_csv():
         return Trajectory(times_s=t, states=states, inputs_N=np.zeros(len(t)),
                           references=np.full(len(t), ref))
 
-    rows = [("hybrid", fake_traj(6.18)), ("pid", fake_traj(11.53))]
-    rep = summarize(rows, "cart-position")
-    text = rep.to_text()
-    assert "hybrid" in text and "pid" in text
-    csv = rep.to_csv()
-    lines = csv.strip().splitlines()
-    assert lines[0] == "controller,scenario,settling_s,overshoot_pct,sse"
-    assert len(lines) == 3
-    assert lines[1].startswith("hybrid,cart-position,")
+    m = score_trajectory(fake_traj(6.18))
+    text = report_text("cart-position", "hybrid", m)
+    assert text == (f"scenario cart-position\n  hybrid: settling {m.settling_time_s:.4g} s, "
+                    f"overshoot 0%, sse {m.steady_state_error:.4g}\n")
+    assert REPORT_CSV_HEADER == "controller,scenario,settling_s,overshoot_pct,sse"
+    row = report_csv_row("cart-position", "pid", score_trajectory(fake_traj(11.53)))
+    assert row.startswith("pid,cart-position,") and row.endswith("\n")
+    assert len(row.rstrip("\n").split(",")) == len(REPORT_CSV_HEADER.split(","))
 
 
-def test_summarize_single_and_empty():
+def test_report_rows_single_and_not_settled():
     from cartpend.sim import Trajectory
 
     t = np.arange(0.0, 1.0, 1e-2)
@@ -158,8 +159,7 @@ def test_summarize_single_and_empty():
     states[:, 2] = 0.3
     traj = Trajectory(times_s=t, states=states, inputs_N=np.zeros(len(t)),
                       references=np.full(len(t), 0.3))
-    rep = summarize([("lqr", traj)], "solo")
-    assert len(rep.to_csv().strip().splitlines()) == 2
-    empty = summarize([], "none")
-    assert empty.to_text() != ""  # renders a header, not a fault
-    assert len(empty.to_csv().strip().splitlines()) == 1
+    assert report_csv_row("solo", "lqr", score_trajectory(traj)) == "lqr,solo,0,0,0\n"
+    never = compute_metrics(t, np.zeros(len(t)), 0.3)
+    assert "  lqr: settling not settled, " in report_text("solo", "lqr", never)
+    assert report_csv_row("solo", "lqr", never).startswith("lqr,solo,inf,")

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cartpend.classic import _rank, _stabilizable
 from cartpend.plant import (
     PlantParams,
     State,
-    assess,
-    linearize,
+    StateSpace,
     linearize_at,
     make_derivative,
     mechanical_energy,
@@ -60,14 +60,14 @@ def test_unit_force_hand_oracle():
 
 
 def test_linearize_b_vector():
-    ss = linearize(P)
+    ss = linearize_at(P, 0.0)
     assert ss.b[:, 0] == pytest.approx([0.0, B_THETA, 0.0, B_X], abs=1e-12)
     assert ss.b[1, 0] == pytest.approx(2.31481, abs=1e-5)
     assert ss.b[3, 0] == pytest.approx(0.83333, abs=1e-5)
 
 
 def test_linearize_a_entries():
-    a = linearize(P).a
+    a = linearize_at(P, 0.0).a
     assert a[1, 0] == pytest.approx(A_THETA, abs=1e-12)
     assert a[1, 0] == pytest.approx(31.7593, abs=1e-4)
     assert a[3, 0] == pytest.approx(A_X, abs=1e-12)
@@ -79,13 +79,13 @@ def test_linearize_a_entries():
 
 
 def test_linearize_c_d_blocks():
-    ss = linearize(P)
+    ss = linearize_at(P, 0.0)
     assert np.array_equal(ss.c, np.eye(4))
     assert np.all(ss.d == 0.0)
 
 
 def test_linearize_matches_finite_difference_jacobian():
-    ss = linearize(P)
+    ss = linearize_at(P, 0.0)
     h = 1e-6
     jac = np.empty((4, 4))
     for j in range(4):
@@ -104,7 +104,7 @@ def test_linearize_matches_finite_difference_jacobian():
 
 
 def test_small_angle_derivative_matches_linear_model():
-    ss = linearize(P)
+    ss = linearize_at(P, 0.0)
     s = State(0.01, 0.0, 0.0, 0.0)
     dn = np.asarray(nonlinear_derivative(P, s, 0.0))
     dl = ss.a @ np.asarray(s)
@@ -122,7 +122,7 @@ def test_small_angle_derivative_matches_linear_model():
     f=st.floats(-0.005, 0.005),
 )
 def test_small_signal_consistency_ball(th, thd, xd, f):
-    ss = linearize(P)
+    ss = linearize_at(P, 0.0)
     s = State(th, thd, 0.0, xd)
     dn = np.asarray(nonlinear_derivative(P, s, f))
     dl = ss.a @ np.asarray(s) + ss.b[:, 0] * f
@@ -136,11 +136,6 @@ def test_hanging_linearization_signs():
     assert ss.a[3, 0] == pytest.approx(A_X, abs=1e-12)  # same sign at both equilibria
     assert ss.b[1, 0] == pytest.approx(-B_THETA, abs=1e-12)
     assert ss.b[3, 0] == pytest.approx(B_X, abs=1e-12)
-
-
-def test_linearize_at_upright_matches_linearize():
-    s1, s2 = linearize(P), linearize_at(P, 0.0)
-    assert np.array_equal(s1.a, s2.a) and np.array_equal(s1.b, s2.b)
 
 
 def test_linearize_at_rejects_non_equilibrium():
@@ -164,30 +159,40 @@ def test_hanging_jacobian_matches_finite_difference():
     assert np.max(np.abs(jac - ss.a)) <= 1e-6
 
 
+def _controllability_rank(ss):
+    n = ss.a.shape[0]
+    return _rank(np.hstack([np.linalg.matrix_power(ss.a, k) @ ss.b for k in range(n)]))
+
+
+def _observability_rank(ss):
+    n = ss.a.shape[0]
+    return _rank(np.vstack([ss.c @ np.linalg.matrix_power(ss.a, k) for k in range(n)]))
+
+
 def test_assess_reference_plant():
-    rec = assess(linearize(P))
-    assert rec.controllable and rec.observable and not rec.stable
-    reals = sorted(p.real for p in rec.open_loop_poles)
+    """Kalman ranks, the PBH test and the open-loop poles of the upright model."""
+    ss = linearize_at(P, 0.0)
+    assert _controllability_rank(ss) == 4 and _observability_rank(ss) == 4
+    assert _stabilizable(ss.a, ss.b)
+    reals = sorted(p.real for p in np.linalg.eigvals(ss.a))
     assert reals[-1] == pytest.approx(UNSTABLE_POLE, abs=1e-6)
 
 
 def test_assess_stable_system():
-    from cartpend.plant import StateSpace
-
+    """A stable system reached through one state: uncontrollable, yet stabilizable."""
     sys = StateSpace(
         a=-np.eye(4), b=np.array([[1.0], [0.0], [0.0], [0.0]]), c=np.eye(4), d=np.zeros((4, 1))
     )
-    rec = assess(sys)
-    assert rec.stable
+    assert np.all(np.linalg.eigvals(sys.a).real < 0.0)
+    assert _controllability_rank(sys) == 1
+    assert _stabilizable(sys.a, sys.b)  # the PBH test skips the stable modes
 
 
 @given(scale=st.floats(1e-3, 1e3))
 def test_controllability_invariant_under_b_scaling(scale):
-    ss = linearize(P)
-    from cartpend.plant import StateSpace
-
+    ss = linearize_at(P, 0.0)
     scaled = StateSpace(a=ss.a, b=ss.b * scale, c=ss.c, d=ss.d)
-    assert assess(scaled).controllable == assess(ss).controllable
+    assert _controllability_rank(scaled) == _controllability_rank(ss) == 4
 
 
 def test_energy_rest_values():

@@ -17,12 +17,12 @@ from cartpend.classic import (
     pid_position_topology,
     pid_simultaneous_topology,
 )
-from cartpend.fuzzy import standard_fuzzy_system
+from cartpend.fuzzy import FuzzySystem
 from cartpend.hybrid import (
     AdaptiveParams,
     HybridChannel,
 )
-from cartpend.metrics import summarize
+from cartpend.metrics import report_csv_row, score_trajectory
 from cartpend.scenario import (
     ConfigError,
     build_controller,
@@ -32,7 +32,7 @@ from cartpend.scenario import (
     run_scenario,
     serialize_scenario,
 )
-from cartpend.plant import PlantParams, State, linearize
+from cartpend.plant import PlantParams, State, linearize_at
 from cartpend.sim import SimConfig, run_closed_loop
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -221,14 +221,14 @@ def _channel(cc, prefix=""):
     return HybridChannel(
         PidGains(*(cc[f"{prefix}channel_{p}"] for p in ("kp", "ki", "kd"))),
         PidGains(*(cc[f"{prefix}crisp_{p}"] for p in ("kp", "ki", "kd"))),
-        standard_fuzzy_system(output_scale=cc[f"{prefix}output_scale"]),
+        FuzzySystem(output_scale=cc[f"{prefix}output_scale"]),
         AdaptiveParams())
 
 
 def test_minimal_configs_build_the_library_defaults():
     """``[controller] kind = ...`` alone builds what the no-argument objects build."""
     library = {
-        "lqr": lambda cc: lqr_synthesize(linearize(PlantParams()), LqrWeights(), 2),
+        "lqr": lambda cc: lqr_synthesize(linearize_at(PlantParams(), 0.0), LqrWeights(), 2),
         "pid-position": lambda cc: pid_position_topology(),
         "pid-simultaneous": lambda cc: pid_simultaneous_topology(),
         "hybrid": lambda cc: CascadeLoop(_channel(cc)),
@@ -260,7 +260,7 @@ def test_builtin_trajectories_match_golden_hashes(runs, tmp_path):
         traj = runs(name)[0]
         traj.write_csv(tmp_path / f"{name}.csv")
         sha = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
-        row = summarize([(s.controller_kind, traj)], name).to_csv().splitlines()[1]
+        row = report_csv_row(name, s.controller_kind, score_trajectory(traj)).rstrip("\n")
         if sha != recorded["csv_sha256"][name] or row != recorded["report_rows"][name]:
             wrong.append(name)
     assert wrong == []

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cartpend.plant import PlantParams, State, linearize, mechanical_energy, nonlinear_derivative
+from cartpend.plant import PlantParams, State, linearize_at, mechanical_energy, nonlinear_derivative
 from cartpend.rng import SplitMix64
 from cartpend.sim import (
     CSV_HEADER,
@@ -16,7 +16,6 @@ from cartpend.sim import (
     SimConfig,
     SimulationFault,
     Trajectory,
-    disturbance_sample,
     make_derivative,
     rk4_step,
     run_closed_loop,
@@ -132,37 +131,51 @@ def test_seed_changes_disturbed_trajectory():
     assert not np.array_equal(t1.inputs_N, t2.inputs_N)
 
 
+def _disturbance_forces(spec, seed=1, duration_s=0.02):
+    """The applied forces of a short run under a zero controller: the draws alone."""
+    cfg = SimConfig(dt_s=1e-3, duration_s=duration_s, reference=ReferenceSpec(0.0, 0.0),
+                    disturbance=spec, seed=seed)
+    traj = run_closed_loop(P, _ZeroController(), cfg, initial_state=State(math.pi, 0, 0, 0))
+    return traj.inputs_N[:-1]
+
+
 def test_disturbance_trivials():
-    rng = SplitMix64(1)
-    spec = DisturbanceSpec("uniform_noise", 0.0, 0.0, 10.0)
-    assert disturbance_sample(spec, 1.0, rng) == 0.0
-    spec = DisturbanceSpec("uniform_noise", 2.0, 5.0, 10.0)
-    assert disturbance_sample(spec, 1.0, rng) == 0.0  # before the window
-    assert disturbance_sample(spec, 11.0, rng) == 0.0  # after the window
-    none = DisturbanceSpec("none", 0.0, 0.0, 0.0)
-    assert disturbance_sample(none, 1.0, rng) == 0.0
+    assert not _disturbance_forces(DisturbanceSpec("uniform_noise", 0.0, 0.0, 10.0)).any()
+    assert not _disturbance_forces(DisturbanceSpec("none", 0.0, 0.0, 0.0)).any()
+    # the window [0.005, 0.010] s is inclusive: steps 5..10 draw, the others do not
+    forces = _disturbance_forces(DisturbanceSpec("uniform_noise", 2.0, 0.005, 0.010))
+    drawn = np.flatnonzero(forces)
+    assert drawn.tolist() == list(range(5, 11))
 
 
 def test_disturbance_outside_window_preserves_rng_state():
-    spec = DisturbanceSpec("uniform_noise", 1.0, 5.0, 10.0)
-    a, b = SplitMix64(9), SplitMix64(9)
-    disturbance_sample(spec, 0.0, a)  # outside: must not consume a draw
-    assert a.next_u64() == b.next_u64()
+    # steps before the window draw nothing, so the first step inside it takes
+    # the generator's first draw, and each later step the next one
+    spec = DisturbanceSpec("uniform_noise", 1.0, 0.005, 0.010)
+    forces = _disturbance_forces(spec, seed=9)
+    rng = SplitMix64(9)
+    expected = [spec.amplitude_N * (2.0 * rng.uniform() - 1.0) for _ in range(6)]
+    assert forces[5:11].tolist() == expected
 
 
 def test_disturbance_bounds_and_mean():
-    spec = DisturbanceSpec("uniform_noise", 0.5, 0.0, 1e9)
+    # the run's draw is amplitude * (2 u - 1) of the generator's uniform u
+    # (pinned by the test above); here its range and mean over 1e6 draws
+    amplitude = 0.5
     rng = SplitMix64(123)
     n = 1_000_000
     total = 0.0
     lo = hi = 0.0
     for _ in range(n):
-        v = disturbance_sample(spec, 1.0, rng)
+        v = amplitude * (2.0 * rng.uniform() - 1.0)
         total += v
         lo = min(lo, v)
         hi = max(hi, v)
     assert -0.5 <= lo and hi <= 0.5
     assert abs(total / n) <= 0.01 * 0.5
+    forces = _disturbance_forces(DisturbanceSpec("uniform_noise", amplitude, 0.0, 1e9),
+                                 seed=123, duration_s=0.1)
+    assert np.all(np.abs(forces) <= amplitude) and len(set(forces.tolist())) == len(forces)
 
 
 def test_fault_carries_partial_trajectory():
@@ -452,7 +465,7 @@ def test_lqr_step_tracking_smoke():
     # classic-controller integration: a 0.3 m step converges to within 5%
     from cartpend.classic import LqrWeights, lqr_synthesize
 
-    ctrl = lqr_synthesize(linearize(P), LqrWeights(), 2)
+    ctrl = lqr_synthesize(linearize_at(P, 0.0), LqrWeights(), 2)
     cfg = SimConfig(dt_s=1e-3, duration_s=10.0, reference=ReferenceSpec(0.3, 0.0))
     traj = run_closed_loop(P, ctrl, cfg)
     assert abs(traj.states[-1, 2] - 0.3) <= 0.05 * 0.3
@@ -462,7 +475,7 @@ def test_linear_vs_nonlinear_small_step():
     # 0.01 m step under the same LQR: linear and nonlinear loops agree to 2% sup-norm
     from cartpend.classic import LqrWeights, lqr_synthesize
 
-    ss = linearize(P)
+    ss = linearize_at(P, 0.0)
     ctrl = lqr_synthesize(ss, LqrWeights(), 2)
     dt, t_end, r = 1e-3, 5.0, 0.01
     n = int(round(t_end / dt))
