@@ -28,10 +28,8 @@ from .fuzzy import (
     fuzzify,
 )
 from .hybrid import (
-    AdaptiveParams,
     HybridChannel,
     ReferenceModel,
-    mit_rule_update,
     reference_model_step,
 )
 from .metrics import (

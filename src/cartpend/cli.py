@@ -119,8 +119,8 @@ def _run_into(out_dir: Path, scenarios) -> int:
             continue
         except SimulationFault as fault:
             fault.trajectory.write_csv(out_dir / f"{s.name}.csv")
-            print(f"error: scenario {s.name} diverged at step {fault.step_index}; "
-                  f"partial trajectory kept", file=sys.stderr)
+            print(f"error: scenario {s.name} diverged at step {fault.step_index}: "
+                  f"{fault.what}; partial trajectory kept", file=sys.stderr)
             status = max(status, 1)
             continue
         traj.write_csv(out_dir / f"{s.name}.csv")

@@ -35,7 +35,7 @@ from .classic import (
     pid_simultaneous_topology,
 )
 from .fuzzy import FuzzySystem
-from .hybrid import AdaptiveParams, HybridChannel
+from .hybrid import HybridChannel
 from .plant import PlantParams, State, linearize_at
 from .sim import DisturbanceSpec, ReferenceSpec, SimConfig, Trajectory, run_closed_loop
 
@@ -80,7 +80,7 @@ _SIMULTANEOUS = _defaults(pid_simultaneous_topology)
 _CHANNEL = _defaults(HybridChannel)
 _FILTER_KEY = {"filter_tau_s": ("float", PidGains.filter_tau_s)}
 _ADAPTATION_KEYS = {
-    "gamma": ("float", AdaptiveParams.gamma_p),
+    "gamma": ("float", _CHANNEL["gamma"]),
     "safety_bound": ("float", _CHANNEL["safety_bound"]),
     **_FILTER_KEY,
     "natural_frequency_rads": ("float", _CHANNEL["natural_frequency_rads"]),
@@ -351,16 +351,11 @@ def _build_channel(cc: dict, prefix: str = "") -> HybridChannel:
             output_centers=cc.get("output_centers", FuzzySystem.output_centers),
             rule_table=tuple(cc.get(f"rule_row{i}", row) for i, row in enumerate(rules)),
             **{name: cc[key] for name, key in scales.items()})
-    gamma = cc["gamma"]
-    # the one gamma key sets all four rates, and gamma_p is checked first
-    with _config_keys("controller", gamma_p="gamma"):
-        adaptive = AdaptiveParams(gamma_p=gamma, gamma_i=gamma, gamma_d=gamma,
-                                  gamma_prime=gamma)
     return HybridChannel(
         channel_gains=_gains(cc, prefix + "channel"),
         crisp_gains=_gains(cc, prefix + "crisp"),
         fuzzy_system=system,
-        adaptive=adaptive,
+        gamma=cc["gamma"],
         safety_bound=cc["safety_bound"],
         natural_frequency_rads=cc["natural_frequency_rads"],
         damping_ratio=cc["damping_ratio"])

@@ -209,12 +209,18 @@ def _text_lines(lines):
 
 
 class SimulationFault(RuntimeError):
-    """Non-finite force or state; carries the finite prefix of the run."""
+    """Non-finite force or state; carries the finite prefix of the run.
 
-    def __init__(self, step_index: int, trajectory: Trajectory):
-        super().__init__(f"simulation diverged at step {step_index}")
+    ``what`` says what went non-finite at ``step_index``: ``force non-finite``,
+    ``<name> non-finite`` for the first non-finite state entry (``theta``,
+    ``theta_dot``, ``x``, ``x_dot``), or the exception the RK4 step raised.
+    """
+
+    def __init__(self, step_index: int, trajectory: Trajectory, what: str):
+        super().__init__(f"simulation diverged at step {step_index}: {what}")
         self.step_index = step_index
         self.trajectory = trajectory
+        self.what = what
 
 
 def rk4_step(f: Derivative, state: State, u: float, dt_s: float) -> State:
@@ -270,13 +276,13 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
     isfinite = math.isfinite
     s = initial_state
 
-    def fault(k):
+    def fault(k, what):
         # a force fault logged no force for step k, so it reads 0
         inputs = np.zeros(k + 1)
         inputs[:len(forces)] = forces
         return SimulationFault(k, Trajectory(
             times_s=times[:k + 1].copy(), states=np.array(log).reshape(k + 1, 4),
-            inputs_N=inputs, references=refs[:k + 1].copy()))
+            inputs_N=inputs, references=refs[:k + 1].copy()), what)
 
     for k in range(n):
         t = k * dt
@@ -288,16 +294,18 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
         if lim is not None:
             u = lim if u > lim else (-lim if u < -lim else u)
         if not isfinite(u):
-            raise fault(k)
+            raise fault(k, "force non-finite")
         forces.append(u)
         try:
             s = rk4_step(f, s, u, dt)
-        except (ValueError, OverflowError, FloatingPointError):
-            raise fault(k) from None
+        except (ValueError, OverflowError, FloatingPointError) as exc:
+            raise fault(k, f"RK4 step raised {type(exc).__name__}: {exc}") from None
         th, thd, x, xd = s
         # a finite sum means four finite values; an overflowing one is rechecked
         if not isfinite(th + thd + x + xd) and not all(map(isfinite, s)):
-            raise fault(k)
+            # named as the CSV columns name the state
+            name = next(n for n, v in zip(CSV_HEADER.split(",")[1:5], s) if not isfinite(v))
+            raise fault(k, f"{name} non-finite")
         log.extend(s)
 
     forces.append(forces[-1] if n > 0 else 0.0)

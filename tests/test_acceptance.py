@@ -37,7 +37,7 @@ from cartpend.classic import (
     solve_care,
 )
 from cartpend.fuzzy import FuzzySystem, fuzzify, fuzzy_infer
-from cartpend.hybrid import AdaptiveParams, HybridChannel
+from cartpend.hybrid import HybridChannel
 from cartpend.metrics import overshoot_pct, score_trajectory, settling_time, steady_state_error
 from cartpend.plant import PlantParams, State, StateSpace, linearize_at, nonlinear_derivative
 from cartpend import repro
@@ -466,8 +466,8 @@ def test_criterion_9_adaptation_reduction_and_safety(runs):
             channel_gains=PidGains(1.1, 0.4, 0.7, 0.01),
             crisp_gains=PidGains(2.0, 0.3, 0.5, 0.01),
             fuzzy_system=fsys,
-            adaptive=AdaptiveParams(theta_prime=theta_prime, gamma_p=0.0, gamma_i=0.0,
-                                    gamma_d=0.0, gamma_prime=0.0),
+            gamma=0.0,
+            theta_prime=theta_prime,
         )
         want = _reduction_reference(1.1, 0.4, 0.7, 2.0, 0.3, 0.5, fsys, lams, es, edots,
                                     0.01, dt)
@@ -478,7 +478,7 @@ def test_criterion_9_adaptation_reduction_and_safety(runs):
         channel_gains=PidGains(1.0, 0.0, 0.0, 0.01),
         crisp_gains=PidGains(0.0, 0.0, 0.0, 0.01),
         fuzzy_system=FuzzySystem(),
-        adaptive=AdaptiveParams(gamma_p=1e7, gamma_i=1e7, gamma_d=1e7, gamma_prime=1e7),
+        gamma=1e7,
         safety_bound=2.0,
     )
     for _ in range(200):

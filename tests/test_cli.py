@@ -243,6 +243,7 @@ def test_non_finite_gain_exits_2_and_other_runs_finish(tmp_path, capsys):
     ("lqr", "sim", "reference_amplitude", "nan"),
     ("pid-position", "controller", "position_kp", "inf"),
     ("hybrid", "controller", "gamma", "-1"),
+    ("hybrid", "controller", "gamma", "nan"),
     ("lqr", "controller", "q_x", "-5"),
     ("hybrid-simultaneous", "controller", "position_output_scale", "-1"),
     ("hybrid", "controller", "rule_row2", "0 1 2 3 4 5 9"),
@@ -312,7 +313,9 @@ def test_fault_exits_1_but_finishes_other_runs(tmp_path, capsys):
     assert main(["run", bad, good, "--out", str(out)]) == 1
     # the healthy scenario still ran to completion
     assert (out / "quick-lqr.csv").exists()
-    assert "blowup" in capsys.readouterr().err
+    # the message names the step and the quantity that went non-finite
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scenario blowup diverged at step 0: theta non-finite; partial trajectory kept"]
 
 
 def test_analyze_prints_metrics(tmp_path, capsys):

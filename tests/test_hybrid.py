@@ -6,14 +6,7 @@ import pytest
 
 from cartpend.classic import CascadeLoop, PidChannel, PidGains, SimultaneousLoop
 from cartpend.fuzzy import FuzzySystem, fuzzy_infer
-from cartpend.hybrid import (
-    AdaptiveParams,
-    HybridChannel,
-    ReferenceModel,
-    lambda_signals,
-    mit_rule_update,
-    reference_model_step,
-)
+from cartpend.hybrid import HybridChannel, ReferenceModel, reference_model_step
 from cartpend.plant import PlantParams, State
 from cartpend.sim import ReferenceSpec, SimConfig, run_closed_loop
 
@@ -25,8 +18,6 @@ def _angle_channel():
         channel_gains=PidGains(5.0, 0.0, 1.0, 0.01),
         crisp_gains=PidGains(40.0, 0.0, 4.0, 0.01),
         fuzzy_system=FuzzySystem(output_scale=8.0),
-        adaptive=AdaptiveParams(gamma_p=0.001, gamma_i=0.001, gamma_d=0.001,
-                                gamma_prime=0.001),
     )
 
 
@@ -35,18 +26,15 @@ def _position_channel():
         channel_gains=PidGains(3.5, 0.0, 3.0, 0.01),
         crisp_gains=PidGains(1.5, 0.0, 3.0, 0.01),
         fuzzy_system=FuzzySystem(output_scale=6.0),
-        adaptive=AdaptiveParams(gamma_p=0.001, gamma_i=0.001, gamma_d=0.001,
-                                gamma_prime=0.001),
     )
 
 
-def _cart_channel():
+def _cart_channel(**adaptation):
     return HybridChannel(
         channel_gains=PidGains(1.5, 0.0, 1.4, 0.01),
         crisp_gains=PidGains(1.2, 0.0, 0.3, 0.01),
         fuzzy_system=FuzzySystem(output_scale=12.0),
-        adaptive=AdaptiveParams(gamma_p=0.001, gamma_i=0.001, gamma_d=0.001,
-                                gamma_prime=0.001),
+        **adaptation,
     )
 
 
@@ -117,94 +105,76 @@ def test_reference_model_validation():
 
 # ---------------- MIT rule ----------------
 
-UNIT_THETA = (1.0, 1.0, 1.0, 1.0)
-
-
 def test_mit_rule_zero_rates_freeze_parameters():
-    p = AdaptiveParams(gamma_p=0.0, gamma_i=0.0, gamma_d=0.0, gamma_prime=0.0)
-    assert mit_rule_update(UNIT_THETA, p, 0.5, 2.0, 1.5, 0.01, 100.0) == (UNIT_THETA, [])
+    ch = _cart_channel(gamma=0.0)
+    for _ in range(100):
+        ch.step(0.5, 2.0, 0.0, 0.01)
+    assert ch.theta == (1.0, 1.0) and ch.clamp_events == []
 
 
 def test_mit_rule_zero_model_error_freezes_parameters():
-    p = AdaptiveParams()
-    q, clamped = mit_rule_update(UNIT_THETA, p, 0.0, 2.0, 1.5, 0.01, 100.0)
-    assert q == (1.0, 1.0, 1.0, 1.0) and clamped == []
+    # r = y = 0 keeps the reference model at 0, so the model error is 0
+    ch = _cart_channel(gamma=1e6)
+    for _ in range(100):
+        ch.step(0.0, 0.0, 0.0, 0.01)
+    assert ch.theta == (1.0, 1.0) and ch.clamp_events == []
 
 
 def test_mit_rule_gradient_arithmetic():
-    p = AdaptiveParams(gamma_p=1.0, gamma_i=0.0, gamma_d=0.0, gamma_prime=0.0)
-    (t1, t2, t3, tp), _ = mit_rule_update(UNIT_THETA, p, 0.5, 2.0, 0.0, 0.01, 100.0)
-    assert t1 == pytest.approx(1.0 - 0.01, abs=1e-15)
-    assert t2 == 1.0 and t3 == 1.0 and tp == 1.0
+    ch = _cart_channel(gamma=1.0)
+    ch.step(1.0, 2.0, 0.0, 0.01)
+    e_model = 2.0 - reference_model_step(ReferenceModel(1.0, 0.9), 1.0, 0.01)
+    assert ch.theta[0] == pytest.approx(1.0 - e_model * 2.0 * 0.01, abs=1e-15)
 
 
 def test_mit_rule_uses_filtered_output_for_theta_prime():
-    p = AdaptiveParams(gamma_p=0.0, gamma_i=0.0, gamma_d=0.0, gamma_prime=2.0)
-    (_, _, _, tp), _ = mit_rule_update(UNIT_THETA, p, 0.5, 2.0, 1.5, 0.01, 100.0)
-    assert tp == pytest.approx(1.0 - 2.0 * 0.5 * 1.5 * 0.01, abs=1e-15)
+    ch = _cart_channel(gamma=2.0, theta_prime=0.5)
+    model, model_filter = ReferenceModel(1.0, 0.9), ReferenceModel(1.0, 0.9)
+    theta, theta_prime = 1.0, 0.5
+    for k in range(300):
+        y = 0.5 * math.sin(0.02 * k)
+        ch.step(1.0, y, 0.0, 0.01)
+        y_model = reference_model_step(model, 1.0, 0.01)
+        y_model_filtered = reference_model_step(model_filter, y_model, 0.01)
+        theta -= 2.0 * (y - y_model) * y * 0.01
+        theta_prime -= 2.0 * (y - y_model) * y_model_filtered * 0.01
+    assert ch.theta == pytest.approx((theta, theta_prime), abs=1e-12)
+    # theta' moved along the filtered model output, not along y
+    assert abs((ch.theta[1] - 0.5) - (ch.theta[0] - 1.0)) > 0.01
 
 
 def test_mit_rule_safety_box_clamps():
-    p = AdaptiveParams(theta1=99.999, gamma_p=1000.0)
-    theta = (p.theta1, p.theta2, p.theta3, p.theta_prime)
-    q, clamped = mit_rule_update(theta, p, -1.0, 1.0, 1.0, 1.0, 100.0)
-    assert q[0] == 100.0
-    assert clamped == ["theta1"]
+    # the model error is 1 on the first step: theta runs to -99 and is boxed
+    # to -1; theta' stays at 1 (the filtered model output is 0), on the box edge
+    ch = _cart_channel(gamma=1e4, safety_bound=1.0)
+    ch.step(0.0, 1.0, 0.0, 0.01)
+    assert ch.theta == (-1.0, 1.0)
+    assert ch.clamp_events == [(0, "theta")]
+    # a NaN fails the box test too: it stays NaN and is logged
+    ch = _cart_channel()
+    ch.step(1.0, math.nan, 0.0, 0.01)
+    assert all(math.isnan(v) for v in ch.theta)
+    assert ch.clamp_events == [(0, "theta"), (0, "theta_prime")]
 
 
-def _mit_rule_oracle(theta, params, e_model, y, y_model_filtered, dt_s, bound):
-    """The generator form mit_rule_update replaced, kept as its reference."""
-    t1, t2, t3, tp = theta
-    step = e_model * y * dt_s
-    raw = (t1 - params.gamma_p * step,
-           t2 - params.gamma_i * step,
-           t3 - params.gamma_d * step,
-           tp - params.gamma_prime * e_model * y_model_filtered * dt_s)
-    boxed = tuple(min(max(v, -bound), bound) for v in raw)
-    return boxed, [name for name, v, b in zip(
-        ("theta1", "theta2", "theta3", "theta_prime"), raw, boxed) if v != b]
+def test_channel_rejects_bad_adaptation_settings():
+    for name, value in (("gamma", -0.01), ("gamma", math.nan), ("gamma", math.inf),
+                        ("theta_prime", math.inf), ("theta_prime", math.nan)):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            _cart_channel(**{name: value})
+    _cart_channel(gamma=0.0, theta_prime=-3.0)  # a zero rate and any finite theta' are fine
 
 
-def _mit_rule_cases():
-    rng = np.random.default_rng(11)
-    p = AdaptiveParams(gamma_p=0.3, gamma_i=0.02, gamma_d=1.5, gamma_prime=0.7)
-    b = 2.0
-    # on the box edges (no step), outside them, and NaN in each input
-    yield (b, -b, 0.5, -b), p, 0.0, 1.0, 1.0, 0.01, b
-    yield (-b, b, -0.0, b), p, 0.0, 1.0, 1.0, 0.01, b
-    yield (3.0, -3.0, 0.0, 1.0), p, 0.0, 1.0, 1.0, 0.01, b
-    yield (1.9, 0.0, -1.9, 0.0), p, 50.0, 1.0, -1.0, 0.1, b
-    for i in range(4):
-        yield UNIT_THETA[:i] + (math.nan,) + UNIT_THETA[i + 1:], p, 0.1, 1.0, 1.0, 0.01, b
-    yield UNIT_THETA, p, math.nan, 1.0, 1.0, 0.01, b
-    yield UNIT_THETA, p, 0.1, 1.0, math.nan, 0.01, b
-    yield (1.0, 1.0, 1.0, math.inf), p, 0.1, 1.0, 1.0, 0.01, b
-    for row in rng.uniform(-1.0, 1.0, (20000, 8)) * [2.5, 2.5, 2.5, 2.5, 5.0, 5.0, 5.0, 0.05]:
-        yield tuple(row[:4].tolist()), p, *row[4:].tolist(), b
+# ---------------- lambda signal ----------------
 
-
-def test_mit_rule_matches_the_generator_form_bit_for_bit():
-    clipped = 0
-    for args in _mit_rule_cases():
-        got, got_names = mit_rule_update(*args)
-        want, want_names = _mit_rule_oracle(*args)
-        assert [v.hex() for v in got] == [v.hex() for v in want]
-        assert got_names == want_names
-        clipped += bool(want_names)
-    assert clipped >= 100  # the random draws cross the box too
-
-
-def test_adaptive_params_reject_negative_rates():
-    with pytest.raises(ValueError):
-        AdaptiveParams(gamma_p=-0.01)
-
-
-# ---------------- lambda signals ----------------
-
-def test_lambda_signals_examples():
-    assert lambda_signals((1.0, 1.0, 1.0, 0.0), 0.3, 5.0) == pytest.approx((0.3, 0.3, 0.3))
-    assert lambda_signals((1.0, 1.0, 1.0, 1.0), 0.0, 0.2) == pytest.approx((-0.2, -0.2, -0.2))
-    assert lambda_signals((2.0, 0.0, 1.0, 1.0), 1.0, 0.5) == pytest.approx((1.5, -0.5, 0.5))
+def test_lambda_signal_examples():
+    # zero rate, proportional-only channel: the force is the fuzzy surface at lambda
+    fsys = FuzzySystem()
+    for theta_prime, r, y, lam in ((0.0, 0.3, 5.0, 0.3), (1.0, 0.0, 0.2, -0.2),
+                                   (1.0, 1.0, 0.5, 0.5)):
+        ch = HybridChannel(PidGains(1.0, 0.0, 0.0, 0.01), PidGains(0.0, 0.0, 0.0, 0.01),
+                           fsys, gamma=0.0, theta_prime=theta_prime)
+        assert ch.step(r, y, 0.0, 0.01) == fuzzy_infer(fsys, lam, 0.0) != 0.0
 
 
 # ---------------- channel structure ----------------
@@ -237,14 +207,14 @@ def _reduction_reference(kp, ki, kd, cp, ci, cd, fsys, lam_seq, e_seq, edot_seq,
 
 @pytest.mark.parametrize("theta_prime", [0.0, 1.0])
 def test_adaptation_off_structural_reduction(theta_prime):
-    # gamma = 0, theta = (1,1,1): lambda is r (theta'=0) or the error e (theta'=1)
+    # gamma = 0, theta = 1: lambda is r (theta'=0) or the error e (theta'=1)
     fsys = FuzzySystem(output_scale=5.0)
     ch = HybridChannel(
         channel_gains=PidGains(1.1, 0.4, 0.7, 0.01),
         crisp_gains=PidGains(2.0, 0.3, 0.5, 0.01),
         fuzzy_system=fsys,
-        adaptive=AdaptiveParams(theta_prime=theta_prime, gamma_p=0.0, gamma_i=0.0,
-                                gamma_d=0.0, gamma_prime=0.0),
+        gamma=0.0,
+        theta_prime=theta_prime,
     )
     dt = 0.01
     rs = [0.3] * 40
@@ -263,7 +233,7 @@ def _hot_channel():
         channel_gains=PidGains(1.0, 0.0, 0.0, 0.01),
         crisp_gains=PidGains(0.0, 0.0, 0.0, 0.01),
         fuzzy_system=FuzzySystem(),
-        adaptive=AdaptiveParams(gamma_p=1e7, gamma_i=1e7, gamma_d=1e7, gamma_prime=1e7),
+        gamma=1e7,
         safety_bound=2.0,
     )
 
@@ -272,9 +242,10 @@ def test_channel_clamp_logging():
     ch = _hot_channel()
     for k in range(200):
         ch.step(1.0, -1.0, 0.0, 1e-2)
-    assert len(ch.clamp_events) == 791
+    assert len(ch.clamp_events) == 391
     assert len(set(ch.clamp_events)) == len(ch.clamp_events)
-    assert ch.clamp_events[:3] == [(0, "theta1"), (0, "theta2"), (0, "theta3")]
+    assert sum(name == "theta" for _, name in ch.clamp_events) == 200
+    assert ch.clamp_events[0] == (0, "theta")
     assert all(abs(v) <= 2.0 for v in ch.theta)
 
 
@@ -285,30 +256,56 @@ def test_channel_no_clamp_events_at_default_rates():
     assert ch.clamp_events == []
 
 
-def test_channel_reset():
-    ch = _cart_channel()
-    u0 = ch.step(1.0, 0.0, 0.0, 1e-3)
-    for _ in range(100):
-        ch.step(1.0, 0.3, -0.1, 1e-3)
-    ch.reset()
-    assert ch.step(1.0, 0.0, 0.0, 1e-3) == u0
-    assert ch.clamp_events == []
+def _mit_rule_oracle(theta, rates, e_model, y, y_model_filtered, dt_s, bound):
+    """The four-parameter generator-form MIT rule, kept as the channel's reference."""
+    t1, t2, t3, tp = theta
+    gamma_p, gamma_i, gamma_d, gamma_prime = rates
+    step = e_model * y * dt_s
+    raw = (t1 - gamma_p * step,
+           t2 - gamma_i * step,
+           t3 - gamma_d * step,
+           tp - gamma_prime * e_model * y_model_filtered * dt_s)
+    boxed = tuple(min(max(v, -bound), bound) for v in raw)
+    return boxed, [name for name, v, b in zip(
+        ("theta1", "theta2", "theta3", "theta_prime"), raw, boxed) if v != b]
 
 
-class _ChannelOracle(HybridChannel):
-    """The attribute-per-update step HybridChannel.step replaced, kept as its reference."""
+class _ChannelOracle:
+    """The four-parameter, three-lambda channel HybridChannel collapsed, kept as its
+    reference: with equal theta1..3 starts and one rate it is the two-parameter law."""
+
+    def __init__(self, channel_gains, crisp_gains, fuzzy_system, thetas, rates, safety_bound,
+                 natural_frequency_rads=1.0, damping_ratio=0.9):
+        self.channel_gains = channel_gains
+        self.crisp_gains = crisp_gains
+        self.fuzzy_system = fuzzy_system
+        self.rates = rates
+        self.safety_bound = safety_bound
+        self.theta = thetas
+        self.clamp_events = []
+        self._model = ReferenceModel(natural_frequency_rads, damping_ratio)
+        self._model_filter = ReferenceModel(natural_frequency_rads, damping_ratio)
+        self._lambda_integral = 0.0
+        self._lambda2_prev = 0.0
+        self._lambda3_prev = 0.0
+        self._derivative_filter = 0.0
+        self._error_integral = 0.0
+        self._error_prev = 0.0
+        self._steps = 0
+        self._first = True
 
     def step(self, r, y, edot, dt_s):
         y_model = reference_model_step(self._model, r, dt_s)
         e_model = y - y_model
         y_model_filtered = reference_model_step(self._model_filter, y_model, dt_s)
 
-        self.theta, clamped = mit_rule_update(self.theta, self._adaptive, e_model, y,
-                                              y_model_filtered, dt_s, self.safety_bound)
+        self.theta, clamped = _mit_rule_oracle(self.theta, self.rates, e_model, y,
+                                               y_model_filtered, dt_s, self.safety_bound)
         for name in clamped:
             self.clamp_events.append((self._steps, name))
 
-        lam1, lam2, lam3 = lambda_signals(self.theta, r, y)
+        t1, t2, t3, tp = self.theta
+        lam1, lam2, lam3 = t1 * r - tp * y, t2 * r - tp * y, t3 * r - tp * y
         if self._first:
             self._lambda2_prev = lam2
             self._lambda3_prev = lam3
@@ -336,33 +333,44 @@ class _ChannelOracle(HybridChannel):
         return u_fuzzy + c.kp * e + c.ki * self._error_integral + c.kd * edot
 
 
+def _merged(events):
+    """A four-parameter clamp log with each step's theta1..3 entries as one "theta"."""
+    out = []
+    for k, name in events:
+        entry = (k, "theta_prime" if name == "theta_prime" else "theta")
+        if out[-1:] != [entry]:
+            out.append(entry)
+    return out
+
+
 def test_channel_step_matches_the_reference_body_bit_for_bit():
     rng = np.random.default_rng(23)
-    fast = AdaptiveParams(theta_prime=0.4, gamma_p=300.0, gamma_i=20.0, gamma_d=900.0,
-                          gamma_prime=50.0)
-    cases = [  # gains, crisp gains, fuzzy scales, adaptation, safety bound, dt
+    cases = [  # gains, crisp gains, fuzzy scales, gamma, theta', safety bound, dt
         (PidGains(1.5, 0.0, 1.4, 0.01), PidGains(1.2, 0.0, 0.3, 0.01), (1.0, 1.0, 12.0),
-         AdaptiveParams(), 100.0, 1e-3),
+         0.001, 1.0, 100.0, 1e-3),
         (PidGains(5.0, 0.7, 1.0, 0.0), PidGains(40.0, 3.0, 4.0, 0.01), (2.0, 0.5, 8.0),
-         AdaptiveParams(theta1=0.5, theta3=-2.0, theta_prime=0.0, gamma_d=0.3), 100.0, 1e-2),
+         0.3, 0.0, 100.0, 1e-2),
         (PidGains(1.0, 0.4, 0.8, 0.05), PidGains(0.5, 0.2, 0.1, 0.0), (1.0, 1.0, 6.0),
-         fast, 2.0, 1e-2),  # clips on most steps
+         300.0, 0.4, 2.0, 1e-2),  # clips on most steps
     ]
     steps = 0
     clipped = 0
-    for gains, crisp, (s1, s2, s3), adaptive, bound, dt in cases:
+    for gains, crisp, (s1, s2, s3), gamma, theta_prime, bound, dt in cases:
         fuzzy = FuzzySystem(input1_scale=s1, input2_scale=s2, output_scale=s3)
-        args = (gains, crisp, fuzzy, adaptive, bound)
-        ch, oracle = HybridChannel(*args), _ChannelOracle(*args)
-        for run in range(4):  # a fresh channel, then resets: each primes its histories
-            if run:
-                ch.reset()
-                oracle.reset()
+        for run in range(4):  # fresh channels each run: each primes its histories
+            ch = HybridChannel(gains, crisp, fuzzy, gamma, theta_prime, bound)
+            oracle = _ChannelOracle(gains, crisp, fuzzy, (1.0, 1.0, 1.0, theta_prime),
+                                    (gamma,) * 4, bound)
             draws = rng.standard_normal((2000, 3)) * rng.uniform(0.01, 3.0, 3)
             for r, y, edot in draws.tolist():
                 assert ch.step(r, y, edot, dt).hex() == oracle.step(r, y, edot, dt).hex()
-            assert [v.hex() for v in ch.theta] == [v.hex() for v in oracle.theta]
-            assert ch.clamp_events == oracle.clamp_events
+            t1, t2, t3, tp = oracle.theta
+            assert t1.hex() == t2.hex() == t3.hex()
+            assert [v.hex() for v in ch.theta] == [t1.hex(), tp.hex()]
+            # the oracle clips theta1..3 together, in that order, on the same steps
+            thetas = [event for event in oracle.clamp_events if event[1] != "theta_prime"]
+            assert thetas == [(k, f"theta{i}") for k, _ in thetas[::3] for i in (1, 2, 3)]
+            assert ch.clamp_events == _merged(oracle.clamp_events)
             steps += len(draws)
             clipped += len(ch.clamp_events)
     assert steps >= 20000

@@ -18,10 +18,7 @@ from cartpend.classic import (
     pid_simultaneous_topology,
 )
 from cartpend.fuzzy import FuzzySystem
-from cartpend.hybrid import (
-    AdaptiveParams,
-    HybridChannel,
-)
+from cartpend.hybrid import HybridChannel
 from cartpend.metrics import report_csv_row, score_trajectory
 from cartpend.scenario import (
     ConfigError,
@@ -221,8 +218,7 @@ def _channel(cc, prefix=""):
     return HybridChannel(
         PidGains(*(cc[f"{prefix}channel_{p}"] for p in ("kp", "ki", "kd"))),
         PidGains(*(cc[f"{prefix}crisp_{p}"] for p in ("kp", "ki", "kd"))),
-        FuzzySystem(output_scale=cc[f"{prefix}output_scale"]),
-        AdaptiveParams())
+        FuzzySystem(output_scale=cc[f"{prefix}output_scale"]))
 
 
 def test_minimal_configs_build_the_library_defaults():

@@ -184,6 +184,8 @@ def test_fault_carries_partial_trajectory():
         run_closed_loop(P, _NanController(), cfg)
     err = exc.value
     assert err.step_index == 0
+    assert err.what == "force non-finite"
+    assert str(err) == "simulation diverged at step 0: force non-finite"
     assert len(err.trajectory.times_s) == 1
     assert np.all(np.isfinite(err.trajectory.states))
     # a force fault logs no force for its step
@@ -206,8 +208,8 @@ def test_non_finite_initial_state_raises_before_the_controller_runs(bad):
 
 
 def test_finite_overflowing_force_faults_at_its_step():
-    # 1e300 N is finite, so it passes the force check; the state overflows
-    # inside the RK4 step and the post-step check names step 5
+    # 1e300 N is finite, so it passes the force check; a stage state overflows
+    # inside the RK4 step, whose math.sin raises, and the fault names step 5
     class Kick:
         k = 0
 
@@ -220,11 +222,37 @@ def test_finite_overflowing_force_faults_at_its_step():
         run_closed_loop(P, Kick(), cfg, initial_state=State(0.1, 0.0, 0.0, 0.0))
     err = exc.value
     assert err.step_index == 5
+    assert err.what == "RK4 step raised ValueError: math domain error"
+    assert str(err).endswith(": " + err.what)
     assert err.trajectory.states.shape == (6, 4)
     assert np.all(np.isfinite(err.trajectory.states))
     assert err.trajectory.inputs_N[5] == 1e300
     clean = run_closed_loop(P, _ZeroController(), cfg, initial_state=State(0.1, 0.0, 0.0, 0.0))
     assert err.trajectory.states.tobytes() == clean.states[:6].tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_fault_names_the_first_non_finite_state_entry(monkeypatch, bad):
+    # a field whose rates turn non-finite from step 3 on, in one entry or from
+    # one entry onwards: the post-step check names the first, as the CSV does
+    import cartpend.sim
+
+    for first, name in enumerate(CSV_HEADER.split(",")[1:5]):
+        def field(state, u, first=first):
+            return tuple(bad if i >= first and u else 0.0 for i in range(4))
+
+        monkeypatch.setattr(cartpend.sim, "make_derivative", lambda params: field)
+        kick = iter([0.0] * 3 + [1.0] * 10)
+
+        class Late:
+            def step(self, reference, state, dt_s):
+                return next(kick)
+
+        cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference=ReferenceSpec(0.0, 0.0))
+        with pytest.raises(SimulationFault) as exc:
+            run_closed_loop(P, Late(), cfg)
+        assert (exc.value.step_index, exc.value.what) == (3, f"{name} non-finite")
+        assert np.all(np.isfinite(exc.value.trajectory.states))
 
 
 def test_finite_state_whose_sum_overflows_does_not_fault():
