@@ -296,14 +296,23 @@ class LqrController:
     riccati_solution: Optional[np.ndarray] = None
     equilibrium: State = State(0.0, 0.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        # the deviation vector each step fills; frozen, so set it directly
+        object.__setattr__(self, "_dev", np.empty(len(self.k_gain)))
+
     def step(self, reference: float, state: State, dt_s: float) -> float:
-        # The deviation goes in as four scalars, not as a State or an array.
-        # The gain product stays np.dot: BLAS ddot may fuse its multiply-adds,
-        # so a Python sum would not give the same bits.
+        # The deviation goes into the held float64 vector, not a fresh array.
+        # The product stays the BLAS ddot that np.dot ran on a fresh tuple:
+        # ddot may fuse its multiply-adds, so a Python sum would not give the
+        # same bits.
         th, thd, x, xd = state
         e_th, e_thd, e_x, e_xd = self.equilibrium
-        return float(self.n_scale * reference
-                     - float(np.dot(self.k_gain, (th - e_th, thd - e_thd, x - e_x, xd - e_xd))))
+        v = self._dev
+        v[0] = th - e_th
+        v[1] = thd - e_thd
+        v[2] = x - e_x
+        v[3] = xd - e_xd
+        return float(self.n_scale * reference - float(self.k_gain.dot(v)))
 
 
 def lqr_synthesize(ss: StateSpace, weights: LqrWeights, tracked_output_index: int, *,

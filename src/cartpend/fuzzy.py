@@ -106,15 +106,26 @@ def fuzzy_infer(system: FuzzySystem, input1: float, input2: float) -> float:
     centers = system.output_centers
     num = 0.0
     den = 0.0
-    # the nonzero grades in ascending term order, i then j, as a full
-    # table walk would visit them
-    for row, w1 in ((system.rule_table[k1], lo1), (system.rule_table[k1 + 1], hi1)):
-        if w1 == 0.0:
-            continue
-        for idx, w2 in ((row[k2], lo2), (row[k2 + 1], hi2)):
-            w = w1 if w1 < w2 else w2
-            if w == 0.0:
-                continue
-            num += w * centers[idx]
+    # the nonzero grades in ascending term order, i then j, as a full table
+    # walk would visit them; written out, so a call builds no pair tuples
+    if lo1 != 0.0:
+        row = system.rule_table[k1]
+        w = lo1 if lo1 < lo2 else lo2
+        if w != 0.0:
+            num += w * centers[row[k2]]
+            den += w
+        w = lo1 if lo1 < hi2 else hi2
+        if w != 0.0:
+            num += w * centers[row[k2 + 1]]
+            den += w
+    if hi1 != 0.0:
+        row = system.rule_table[k1 + 1]
+        w = hi1 if hi1 < lo2 else lo2
+        if w != 0.0:
+            num += w * centers[row[k2]]
+            den += w
+        w = hi1 if hi1 < hi2 else hi2
+        if w != 0.0:
+            num += w * centers[row[k2 + 1]]
             den += w
     return system.output_scale * num / den

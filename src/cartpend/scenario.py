@@ -168,7 +168,7 @@ def _config_keys(section: str, **keys):
         yield
     except ConfigError:
         raise
-    except (ValueError, ConvergenceError) as exc:
+    except ValueError as exc:
         name, sep, rest = str(exc).partition(" ")
         raise ConfigError(f"[{section}] {keys.get(name, name)}{sep}{rest}") from None
 
@@ -375,8 +375,13 @@ def lqr_design(s: Scenario) -> LqrController:
     theta_e = _OPERATING_POINTS[cc["operating_point"]]
     with _config_keys("controller", q=worst):
         weights = LqrWeights(q=np.diag([cc[key] for key in _Q_KEYS]), r=cc["r"])
-        return lqr_synthesize(linearize_at(s.plant, theta_e), weights, tracked_output_index=2,
-                              equilibrium=State(theta_e, 0.0, 0.0, 0.0))
+        try:
+            return lqr_synthesize(linearize_at(s.plant, theta_e), weights, tracked_output_index=2,
+                                  equilibrium=State(theta_e, 0.0, 0.0, 0.0))
+        except ConvergenceError as exc:
+            named = ", ".join(f"{key} = {cc[key]:g}" for key in _Q_KEYS + ("r",))
+            why = f"{exc} (best residual {exc.residual:.3g})" if math.isfinite(exc.residual) else exc
+            raise ConfigError(f"[controller] the Riccati solver refused {named}: {why}") from None
 
 
 def build_controller(s: Scenario):

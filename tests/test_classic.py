@@ -20,6 +20,7 @@ from cartpend.classic import (
     solve_care,
 )
 from cartpend.plant import PlantParams, State, StateSpace, linearize_at
+from cartpend.scenario import builtin_scenarios, lqr_design
 
 P = PlantParams()
 
@@ -394,6 +395,53 @@ def test_lqr_step_equilibrium_offset():
                           equilibrium=State(math.pi, 0.0, 0.0, 0.0))
     # exactly at the shifted equilibrium with r=0 the force is zero
     assert ctrl.step(0.0, State(math.pi, 0.0, 0.0, 0.0), 1e-3) == pytest.approx(0.0, abs=1e-12)
+
+
+def _builtin_lqr_designs():
+    scenarios = builtin_scenarios()
+    return {point: lqr_design(scenarios[name]) for point, name in (
+        ("hanging", "cart-position-lqr-nominal"), ("upright", "simultaneous-lqr-nominal"))}
+
+
+def _random_equilibrium_design():
+    rng = np.random.default_rng(23)
+    eq = State(*rng.uniform(-3.0, 3.0, 4).tolist())
+    return LqrController(k_gain=rng.normal(0.0, 50.0, 4), n_scale=float(rng.normal(0.0, 10.0)),
+                         tracked_output_index=2, equilibrium=eq)
+
+
+@pytest.mark.parametrize("design", ["hanging", "upright", "random-equilibrium"])
+def test_lqr_step_is_the_np_dot_on_the_deviation_tuple_bit_for_bit(design):
+    # the held-vector product must stay the ddot np.dot ran on a fresh tuple
+    ctrl = (_random_equilibrium_design() if design == "random-equilibrium"
+            else _builtin_lqr_designs()[design])
+    k, n = ctrl.k_gain, ctrl.n_scale
+    e_th, e_thd, e_x, e_xd = ctrl.equilibrium
+    rng = np.random.default_rng(7)
+    rows = rng.uniform(-1.0, 1.0, (12000, 5)) * [4.0, 30.0, 5.0, 10.0, 2.0]
+    for th, thd, x, xd, r in rows.tolist():
+        want = float(n * r - float(np.dot(k, (th - e_th, thd - e_thd, x - e_x, xd - e_xd))))
+        assert ctrl.step(r, State(th, thd, x, xd), 1e-3).hex() == want.hex()
+
+
+def test_lqr_controllers_do_not_share_the_held_vector():
+    designs = _builtin_lqr_designs()
+    a, b = designs["upright"], designs["hanging"]
+    c = dataclasses.replace(a, equilibrium=State(0.5, 0.0, -1.0, 0.0))
+    assert len({id(a._dev), id(b._dev), id(c._dev)}) == 3
+    rng = np.random.default_rng(11)
+    rows = (rng.uniform(-1.0, 1.0, (3000, 5)) * [4.0, 30.0, 5.0, 10.0, 2.0]).tolist()
+
+    def separate(ctrl):
+        fresh = dataclasses.replace(ctrl)
+        return [fresh.step(r, State(*s), 1e-3).hex() for *s, r in rows]
+
+    want = {name: separate(ctrl) for name, ctrl in zip("abc", (a, b, c))}
+    got = {"a": [], "b": [], "c": []}
+    for *s, r in rows:
+        for name, ctrl in zip("abc", (a, b, c)):
+            got[name].append(ctrl.step(r, State(*s), 1e-3).hex())
+    assert got == want
 
 
 # ---------------- loop topologies ----------------

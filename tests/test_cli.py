@@ -455,6 +455,23 @@ def test_riccati_failure_is_a_controller_error(tmp_path, capsys, weight):
     assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: [controller] ")
 
 
+@pytest.mark.parametrize("weight, key, reason", [
+    ("q_x = 1e6", "q_x = 1e+06", "Newton polish did not reach tolerance (best residual 1."),
+    ("r = 1e-300", "r = 1e-300", "Riccati flow diverged"),
+], ids=["polish-stalls", "flow-diverges"])
+def test_riccati_refusal_names_every_weight_key(tmp_path, capsys, weight, key, reason):
+    text = SHORT_LQR.replace("quick-lqr", "bad").replace("kind = lqr", f"kind = lqr\n{weight}")
+    bad = _write(tmp_path, "bad.ini", text)
+    for argv, where in ((["run", bad, "--out", str(tmp_path / "out")], "scenario bad"),
+                        (["lqr-gain", bad], bad)):
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {where}: [controller] "), lines
+        assert key in lines[0] and reason in lines[0], lines
+        assert all(f"{name} = " in lines[0]
+                   for name in ("q_theta", "q_theta_dot", "q_x", "q_x_dot", "r")), lines
+
+
 def test_lqr_gain_rejects_other_controllers(tmp_path, capsys):
     cfg = _write(tmp_path, "a.ini", SHORT_LQR.replace("kind = lqr", "kind = pid-position"))
     assert main(["lqr-gain", cfg]) == 2

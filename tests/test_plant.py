@@ -1,4 +1,5 @@
 """Oracle tests for the cart-pole dynamics, linearizations, and system analysis."""
+import functools
 import math
 
 import numpy as np
@@ -262,3 +263,75 @@ def test_bound_field_matches_the_unbound_body_bit_for_bit(scenario):
         assert _hex(field(s, force)) == expected
         d = nonlinear_derivative(params, s, force)
         assert type(d) is State and _hex(d) == expected
+
+
+# ---------------- Lagrangian oracle ----------------
+
+@functools.lru_cache(maxsize=None)
+def _lagrangian_model():
+    """Euler-Lagrange accelerations of T - V, derived by sympy from the bob
+    position (x - l sin theta, l cos theta), as functions and as the
+    symbolic Jacobian of the state field."""
+    import sympy as sp
+
+    t = sp.Symbol("t")
+    m_cart, m_bob, length, g, force = sp.symbols("M m l g F", positive=True)
+    th, x = sp.Function("theta")(t), sp.Function("x")(t)
+    bob_x, bob_y = x - length * sp.sin(th), length * sp.cos(th)
+    kinetic = (m_cart * x.diff(t) ** 2
+               + m_bob * (bob_x.diff(t) ** 2 + bob_y.diff(t) ** 2)) / 2
+    lag = kinetic - m_bob * g * bob_y
+    # the force acts on x only
+    eqs = [lag.diff(q.diff(t)).diff(t) - lag.diff(q) - gen
+           for q, gen in ((th, 0), (x, force))]
+    q0, q1, v0, v1 = sp.symbols("q0 q1 v0 v1")
+    plain = {th.diff(t, 2): sp.Symbol("thdd"), x.diff(t, 2): sp.Symbol("xdd"),
+             th.diff(t): v0, x.diff(t): v1}
+    eqs = [e.subs(plain).subs({th: q0, x: q1}) for e in eqs]
+    sol = sp.solve(eqs, [sp.Symbol("thdd"), sp.Symbol("xdd")], dict=True)[0]
+    field = sp.Matrix([v0, sol[sp.Symbol("thdd")], v1, sol[sp.Symbol("xdd")]])
+    args = (m_cart, m_bob, length, g, q0, v0, q1, v1, force)
+    return (sp.lambdify(args, list(field), "math"),
+            sp.lambdify(args, field.jacobian([q0, v0, q1, v1]).tolist(), "math"),
+            sp.lambdify(args, field.jacobian([force]).tolist(), "math"))
+
+
+def _random_plants(rng, n):
+    for _ in range(n):
+        yield PlantParams(cart_mass_kg=float(rng.uniform(0.2, 5.0)),
+                          bob_mass_kg=float(rng.uniform(0.02, 2.0)),
+                          pendulum_length_m=float(rng.uniform(0.1, 2.0)),
+                          gravity_ms2=float(rng.uniform(1.0, 20.0)))
+
+
+def _physics(params):
+    return (params.cart_mass_kg, params.bob_mass_kg, params.pendulum_length_m,
+            params.gravity_ms2)
+
+
+def test_field_matches_the_sympy_euler_lagrange_accelerations():
+    oracle = _lagrangian_model()[0]
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    plants = [P] + list(_random_plants(rng, 39))
+    for k in range(2000):
+        params = plants[k % len(plants)]
+        th, thd, x, xd = rng.uniform(-1.0, 1.0, 4) * [2 * math.pi, 20.0, 5.0, 10.0]
+        f = float(rng.uniform(-50.0, 50.0))
+        got = make_derivative(params)(State(th, thd, x, xd), f)
+        want = oracle(*_physics(params), th, thd, x, xd, f)
+        for a, b in zip(got, want):
+            worst = max(worst, abs(a - b) / max(abs(b), 1.0))
+    assert worst <= 1e-12, worst
+
+
+@pytest.mark.parametrize("theta_e", [0.0, math.pi], ids=["upright", "hanging"])
+def test_linearize_at_matches_the_symbolic_jacobian(theta_e):
+    _, jac_a, jac_b = _lagrangian_model()
+    for params in [P] + list(_random_plants(np.random.default_rng(17), 9)):
+        at = (*_physics(params), theta_e, 0.0, 0.0, 0.0, 0.0)
+        ss = linearize_at(params, theta_e)
+        a_ref = np.asarray(jac_a(*at), dtype=float)
+        b_ref = np.asarray(jac_b(*at), dtype=float)
+        assert np.allclose(ss.a, a_ref, rtol=1e-12, atol=1e-12), (params, ss.a, a_ref)
+        assert np.allclose(ss.b, b_ref, rtol=1e-12, atol=1e-12), (params, ss.b, b_ref)
