@@ -14,7 +14,6 @@ from .classic import (
     LqrWeights,
     PidChannel,
     PidGains,
-    PidState,
     SimultaneousLoop,
     lqr_synthesize,
     pid_position_topology,

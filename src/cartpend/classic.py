@@ -16,10 +16,9 @@ independent cross-check.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -51,33 +50,26 @@ class PidGains:
             raise ValueError(f"filter_tau_s must be >= 0, got {self.filter_tau_s!r}")
 
 
-class PidState(NamedTuple):
-    integral_accumulator: float = 0.0
-    previous_error: float = 0.0
-    derivative_filter_state: float = 0.0
-
-
-# PidState from a 3-tuple without the Python-level namedtuple constructor
-_pid_state = functools.partial(tuple.__new__, PidState)
-
-
-def pid_step(gains: PidGains, state: PidState, error: float,
-             dt_s: float) -> Tuple[float, PidState]:
+def pid_step(gains: PidGains, state: tuple, error: float,
+             dt_s: float) -> Tuple[float, tuple]:
     """One PID update: trapezoidal integral, filtered backward difference.
 
-    With ``filter_tau_s = 0`` the derivative is the raw difference quotient.
-    The caller decides whether to prime ``previous_error`` before the first
-    step; an unprimed zero history gives the textbook derivative kick.
+    ``state`` is ``(integral, previous_error, filtered_derivative)``, and the
+    next state is returned with the force. With ``filter_tau_s = 0`` the
+    derivative is the raw difference quotient. The caller decides whether to
+    prime ``previous_error`` before the first step; an unprimed zero history
+    ``(0.0, 0.0, 0.0)`` gives the textbook derivative kick.
     """
-    integral = state.integral_accumulator + dt_s * (error + state.previous_error) / 2.0
-    raw = (error - state.previous_error) / dt_s
+    integral, previous_error, filtered = state
+    integral = integral + dt_s * (error + previous_error) / 2.0
+    raw = (error - previous_error) / dt_s
     if gains.filter_tau_s > 0.0:
         alpha = dt_s / (gains.filter_tau_s + dt_s)
-        derivative = state.derivative_filter_state + alpha * (raw - state.derivative_filter_state)
+        derivative = filtered + alpha * (raw - filtered)
     else:
         derivative = raw
     u = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    return u, _pid_state((integral, error, derivative))
+    return u, (integral, error, derivative)
 
 
 class PidChannel:
@@ -96,7 +88,7 @@ class PidChannel:
     def step(self, r: float, y: float, edot: float, dt_s: float) -> float:
         e = r - y
         if self._state is None:
-            self._state = PidState(0.0, e, 0.0)
+            self._state = (0.0, e, 0.0)
         u, self._state = pid_step(self.gains, self._state, e, dt_s)
         return u
 
@@ -292,7 +284,6 @@ class LqrController:
 
     k_gain: np.ndarray
     n_scale: float
-    tracked_output_index: int
     riccati_solution: Optional[np.ndarray] = None
     equilibrium: State = State(0.0, 0.0, 0.0, 0.0)
 
@@ -332,8 +323,7 @@ def lqr_synthesize(ss: StateSpace, weights: LqrWeights, tracked_output_index: in
     dc = float(e_i @ np.linalg.solve(a_cl, ss.b[:, 0]))
     if dc == 0.0:
         raise ValueError("tracked output has no DC response; cannot scale reference")
-    return LqrController(k_gain=k, n_scale=-1.0 / dc,
-                         tracked_output_index=tracked_output_index, riccati_solution=p,
+    return LqrController(k_gain=k, n_scale=-1.0 / dc, riccati_solution=p,
                          equilibrium=equilibrium)
 
 

@@ -9,7 +9,6 @@ tables do not disclose, so differences are reported, not hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .metrics import score_trajectory
 from .scenario import builtin_scenarios, lqr_design, run_scenario
@@ -47,45 +46,6 @@ _ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class ComparisonLine:
-    label: str
-    published: float | None
-    observed: float
-
-
-def collect(progress=None) -> list:
-    """Run the comparison scenarios and gather (label, published, observed) rows.
-
-    ``progress`` is called with each scenario name before it runs, for the
-    CLI to show liveness during the multi-minute sweep.
-    """
-    catalog = builtin_scenarios()
-    scores = {}
-    lines = []
-    for scenario_name, metric, label, published in _ROWS:
-        if scenario_name not in scores:
-            if progress is not None:
-                progress(scenario_name)
-            scores[scenario_name] = score_trajectory(run_scenario(catalog[scenario_name]))
-        m = scores[scenario_name]
-        observed = m.settling_time_s if metric == "settling" else m.steady_state_error
-        lines.append(ComparisonLine(label, published, observed))
-
-    pid = scores["cart-position-pid-nominal"].settling_time_s
-    hyb = scores["cart-position-hybrid-nominal"].settling_time_s
-    ratio = (100.0 * hyb / pid
-             if math.isfinite(hyb) and math.isfinite(pid) and pid > 0.0 else math.inf)
-    lines.append(ComparisonLine("cart step: hybrid/pid settling ratio [%]", 54.0, ratio))
-    return lines
-
-
-def gain_comparison() -> tuple:
-    """(published gain, gain of the cart study's LQR: hanging, default weights)."""
-    ctrl = lqr_design(builtin_scenarios()["cart-position-lqr-nominal"])
-    return PUBLISHED_GAIN, tuple(float(v) for v in ctrl.k_gain)
-
-
 def _fmt(v) -> str:
     if v is None:
         return "n/a"
@@ -94,21 +54,41 @@ def _fmt(v) -> str:
     return f"{v:.4f}"
 
 
-def format_report(lines, gains) -> str:
-    width = max(len(l.label) for l in lines) + 2
+def run_comparison(progress=None) -> str:
+    """Run the comparison scenarios and format the published-vs-observed report.
+
+    ``progress`` is called with each scenario name before it runs, for the
+    CLI to show liveness during the sweep.
+    """
+    catalog = builtin_scenarios()
+    scores = {}
+    rows = []
+    for scenario_name, metric, label, published in _ROWS:
+        if scenario_name not in scores:
+            if progress is not None:
+                progress(scenario_name)
+            scores[scenario_name] = score_trajectory(run_scenario(catalog[scenario_name]))
+        m = scores[scenario_name]
+        observed = m.settling_time_s if metric == "settling" else m.steady_state_error
+        rows.append((label, published, observed))
+
+    pid = scores["cart-position-pid-nominal"].settling_time_s
+    hyb = scores["cart-position-hybrid-nominal"].settling_time_s
+    ratio = (100.0 * hyb / pid
+             if math.isfinite(hyb) and math.isfinite(pid) and pid > 0.0 else math.inf)
+    rows.append(("cart step: hybrid/pid settling ratio [%]", 54.0, ratio))
+    # the cart study's LQR: hanging, default weights
+    gain = lqr_design(catalog["cart-position-lqr-nominal"]).k_gain
+
+    width = max(len(label) for label, _, _ in rows) + 2
     out = [f"{'quantity':<{width}}{'published':>14}{'this run':>14}"]
-    for l in lines:
-        out.append(f"{l.label:<{width}}{_fmt(l.published):>14}{_fmt(l.observed):>14}")
-    published, observed = gains
+    for label, published, observed in rows:
+        out.append(f"{label:<{width}}{_fmt(published):>14}{_fmt(observed):>14}")
     out.append("")
     out.append("state feedback gain at the default weights (hanging design):")
-    out.append("  published: [" + ", ".join(f"{v:.4f}" for v in published) + "]")
-    out.append("  this run:  [" + ", ".join(f"{v:.4f}" for v in observed) + "]")
+    out.append("  published: [" + ", ".join(f"{v:.4f}" for v in PUBLISHED_GAIN) + "]")
+    out.append("  this run:  [" + ", ".join(f"{v:.4f}" for v in gain) + "]")
     out.append("")
     out.append("orderings are the reproduction target; absolute values depend on")
     out.append("tuning constants the published tables do not disclose.")
     return "\n".join(out) + "\n"
-
-
-def run_comparison(progress=None) -> str:
-    return format_report(collect(progress=progress), gain_comparison())

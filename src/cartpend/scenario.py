@@ -208,7 +208,8 @@ def _read_section(cp, section: str, schema: dict) -> dict:
 
 
 def parse_scenario(text: str) -> Scenario:
-    cp = configparser.ConfigParser(interpolation=None, strict=True)
+    # no header can spell "\n", so a [DEFAULT] section is an unknown section like any other
+    cp = configparser.ConfigParser(interpolation=None, strict=True, default_section="\n")
     cp.optionxform = str
     try:
         cp.read_string(text)

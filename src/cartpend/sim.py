@@ -4,8 +4,8 @@ The loop contract per step k:
 
 1. read the reference r_k,
 2. ask the controller for a force,
-3. add the disturbance draw (only inside its time window; the generator is
-   not advanced outside it),
+3. add the disturbance push, drawn before the loop in step order (one draw
+   per step inside its time window; the generator is not advanced outside it),
 4. clamp to the force limit when one is set,
 5. log, then advance the plant one RK4 step.
 
@@ -78,7 +78,7 @@ class DisturbanceSpec:
             raise ValueError(f"kind must be 'none' or 'uniform_noise', got {self.kind!r}")
         if not (math.isfinite(self.amplitude_N) and self.amplitude_N >= 0.0):
             raise ValueError(f"amplitude_N must be >= 0, got {self.amplitude_N!r}")
-        # a NaN bound fails both window tests, so it would draw on every step
+        # a NaN bound names no window: searchsorted places it after every step time
         for name in ("start_s", "end_s"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got nan")
@@ -257,21 +257,24 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
         raise ValueError(f"non-finite initial state {tuple(initial_state)}")
     n = config.step_count
     dt = config.dt_s
-    amplitude = float(config.reference.amplitude)
-    step_time = config.reference.step_time_s
-    # the loop makes each t and r itself, equal to these entries: k * dt is arange's product
     times = np.arange(n + 1) * dt
-    refs = np.where(times >= step_time, amplitude, 0.0)
+    refs = np.where(times >= config.reference.step_time_s, config.reference.amplitude, 0.0)
     log = array("d", initial_state)
     forces = array("d")
 
-    rng = SplitMix64(config.seed)
+    disturbance = config.disturbance
+    if disturbance.kind == "none":
+        pushes = itertools.repeat(0.0)
+    else:
+        # the window [start_s, end_s] is one contiguous run of steps
+        pushes = array("d", [0.0]) * n
+        rng = SplitMix64(config.seed)
+        first = np.searchsorted(times[:n], disturbance.start_s, "left")
+        stop = np.searchsorted(times[:n], disturbance.end_s, "right")
+        for k in range(first, stop):
+            pushes[k] = disturbance.amplitude_N * (2.0 * rng.uniform() - 1.0)
     f = make_derivative(params)
     control = controller.step
-    disturbance = config.disturbance
-    # a "none" disturbance has an empty window, so it never draws
-    start_s = disturbance.start_s if disturbance.kind != "none" else math.inf
-    end_s = disturbance.end_s
     lim = config.force_limit_N
     isfinite = math.isfinite
     s = initial_state
@@ -284,13 +287,10 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
             times_s=times[:k + 1].copy(), states=np.array(log).reshape(k + 1, 4),
             inputs_N=inputs, references=refs[:k + 1].copy()), what)
 
-    for k in range(n):
-        t = k * dt
-        r = amplitude if t >= step_time else 0.0
-        # the controller is asked first, then the generator, and only inside
-        # the window; where nothing is drawn, + 0.0 still turns a -0.0 force into 0.0
-        u = control(r, s, dt) + (disturbance.amplitude_N * (2.0 * rng.uniform() - 1.0)
-                                 if start_s <= t <= end_s else 0.0)
+    # memoryview yields refs' entries as Python floats, without a copy. Outside
+    # the window the push is 0.0, and + 0.0 still turns a -0.0 force into 0.0.
+    for k, r, push in zip(range(n), memoryview(refs), pushes):
+        u = control(r, s, dt) + push
         if lim is not None:
             u = lim if u > lim else (-lim if u < -lim else u)
         if not isfinite(u):
@@ -308,6 +308,6 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
             raise fault(k, f"{name} non-finite")
         log.extend(s)
 
-    forces.append(forces[-1] if n > 0 else 0.0)
+    forces.append(forces[-1])
     return Trajectory(times_s=times, states=np.frombuffer(log).reshape(n + 1, 4),
                       inputs_N=np.frombuffer(forces), references=refs)

@@ -12,7 +12,6 @@ from cartpend.classic import (
     LqrController,
     LqrWeights,
     PidGains,
-    PidState,
     lqr_synthesize,
     pid_position_topology,
     pid_simultaneous_topology,
@@ -45,24 +44,24 @@ def _care_residual(ss, w, p):
 # ---------------- PID ----------------
 
 def test_pid_proportional_only():
-    u, _ = pid_step(PidGains(2.0, 0.0, 0.0, 0.0), PidState(), 1.0, 0.1)
+    u, _ = pid_step(PidGains(2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0, 0.1)
     assert u == 2.0
 
 
 def test_pid_trapezoidal_integral():
     g = PidGains(0.0, 1.0, 0.0, 0.0)
-    s = PidState()
+    s = (0.0, 0.0, 0.0)
     for _ in range(10):
         u, s = pid_step(g, s, 1.0, 0.1)
     # trapezoid from a zero-seeded history: 0.05 + 9 * 0.1
     assert u == pytest.approx(0.95, abs=1e-12)
     assert abs(u - 1.0) <= 0.05 + 1e-12
-    assert s.integral_accumulator == pytest.approx(0.95, abs=1e-12)
+    assert s[0] == pytest.approx(0.95, abs=1e-12)
 
 
 def test_pid_unfiltered_derivative_jump():
     g = PidGains(0.0, 0.0, 1.0, 0.0)
-    s = PidState()
+    s = (0.0, 0.0, 0.0)
     u, s = pid_step(g, s, 0.0, 0.1)
     assert u == 0.0
     u, s = pid_step(g, s, 1.0, 0.1)
@@ -73,7 +72,7 @@ def test_pid_unfiltered_derivative_jump():
 
 def test_pid_filtered_derivative_softens_jump():
     g = PidGains(0.0, 0.0, 1.0, 0.01)
-    s = PidState()
+    s = (0.0, 0.0, 0.0)
     u, s = pid_step(g, s, 1.0, 1e-3)
     # first-order filter: alpha = dt/(tau+dt) of the raw 1000 backward difference
     assert u == pytest.approx(1e-3 / 0.011 * 1000.0, rel=1e-12)
@@ -84,7 +83,7 @@ def test_pid_filtered_derivative_softens_jump():
        st.lists(st.floats(-10, 10), min_size=30, max_size=30))
 def test_pid_superposition(ea, eb):
     g = PidGains(1.3, 0.7, 0.2, 0.01)
-    sa = sb = sab = PidState()
+    sa = sb = sab = (0.0, 0.0, 0.0)
     for a, b in zip(ea, eb):
         ua, sa = pid_step(g, sa, a, 1e-2)
         ub, sb = pid_step(g, sb, b, 1e-2)
@@ -94,7 +93,7 @@ def test_pid_superposition(ea, eb):
 
 def test_pid_integral_is_exact_trapezoid():
     g = PidGains(0.0, 1.0, 0.0, 0.0)
-    s = PidState()
+    s = (0.0, 0.0, 0.0)
     errs = [0.3, -0.2, 1.5, 0.0, 2.0]
     prev = 0.0
     acc = 0.0
@@ -102,7 +101,7 @@ def test_pid_integral_is_exact_trapezoid():
         _, s = pid_step(g, s, e, 0.1)
         acc += 0.1 * (e + prev) / 2
         prev = e
-    assert s.integral_accumulator == pytest.approx(acc, abs=1e-15)
+    assert s[0] == pytest.approx(acc, abs=1e-15)
 
 
 # ---------------- CARE / LQR ----------------
@@ -369,11 +368,10 @@ def test_lqr_closed_loop_hurwitz_and_unit_dc_gain():
 
 
 def test_lqr_step_arithmetic():
-    ctrl = LqrController(k_gain=np.array([1.0, 0.0, 0.0, 0.0]), n_scale=0.0,
-                         tracked_output_index=2)
+    ctrl = LqrController(k_gain=np.array([1.0, 0.0, 0.0, 0.0]), n_scale=0.0)
     assert ctrl.step(0.0, State(0, 0, 0, 0), 1e-3) == 0.0
     assert ctrl.step(0.0, State(2, 0, 0, 0), 1e-3) == -2.0
-    ctrl2 = LqrController(k_gain=np.zeros(4), n_scale=3.0, tracked_output_index=2)
+    ctrl2 = LqrController(k_gain=np.zeros(4), n_scale=3.0)
     assert ctrl2.step(2.0, State(0, 0, 0, 0), 1e-3) == 6.0
 
 
@@ -407,7 +405,7 @@ def _random_equilibrium_design():
     rng = np.random.default_rng(23)
     eq = State(*rng.uniform(-3.0, 3.0, 4).tolist())
     return LqrController(k_gain=rng.normal(0.0, 50.0, 4), n_scale=float(rng.normal(0.0, 10.0)),
-                         tracked_output_index=2, equilibrium=eq)
+                         equilibrium=eq)
 
 
 @pytest.mark.parametrize("design", ["hanging", "upright", "random-equilibrium"])
@@ -454,13 +452,13 @@ def test_cascade_zero_in_zero_out():
 def test_cascade_inner_zero_bypasses_to_single_loop():
     pos = PidGains(1.2, 0.5, 0.3, 0.01)
     cascade = pid_position_topology(pos, PidGains(0.0, 0.0, 0.0, 0.0))
-    single_state = PidState()
+    single_state = (0.0, 0.0, 0.0)
     first = True
     for k, x in enumerate([0.0, 0.01, 0.05, 0.02]):
         s = State(math.pi, 0.0, x, 0.1 * k)
         e = 1.0 - x
         if first:
-            single_state = PidState(0.0, e, 0.0)
+            single_state = (0.0, e, 0.0)
             first = False
         u_single, single_state = pid_step(pos, single_state, e, 1e-3)
         assert cascade.step(1.0, s, 1e-3) == pytest.approx(u_single, abs=1e-12)
@@ -475,9 +473,8 @@ def test_cascade_zero_inner_gains_is_the_position_loop_bit_for_bit(inner):
     for r, x, xd in rng.standard_normal((2000, 3)).tolist():
         e = r - x
         if single_state is None:
-            single_state = PidState(0.0, e, 0.0)
+            single_state = (0.0, e, 0.0)
         u_single, single_state = pid_step(pos, single_state, e, 1e-3)
-        assert type(single_state) is PidState
         assert cascade.step(r, State(math.pi, 0.0, x, xd), 1e-3).hex() == u_single.hex()
     assert cascade.inner is None
 
@@ -507,8 +504,8 @@ class _SimultaneousOracle:
         e_th = -state.theta_rad
         e_x = reference - state.x_m
         if self._ang_s is None:
-            self._ang_s = PidState(0.0, e_th, 0.0)
-            self._pos_s = PidState(0.0, e_x, 0.0)
+            self._ang_s = (0.0, e_th, 0.0)
+            self._pos_s = (0.0, e_x, 0.0)
         u_th, self._ang_s = pid_step(self._ang_g, self._ang_s, e_th, dt_s)
         u_x, self._pos_s = pid_step(self._pos_g, self._pos_s, e_x, dt_s)
         return u_th - u_x

@@ -1,6 +1,7 @@
 """Command line interface: verbs, exit codes, output layout, reproducibility."""
 import hashlib
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -12,6 +13,7 @@ from cartpend.metrics import REPORT_CSV_HEADER
 from cartpend.sim import CSV_HEADER
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 # report.txt of ``run`` on the 18 built-ins in catalog order
 BUILTIN_REPORT_TXT_SHA256 = "3495762851d4378ad13d898c7d54641ef8dc8307695c3a4a42bb63e3caf9d52b"
 
@@ -33,6 +35,14 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _readme_block(intro):
+    """The body of README's first fenced block after the line ``intro``."""
+    text = README.read_text(encoding="utf-8")
+    fence = text.index("```", text.index(intro))
+    body = text[text.index("\n", fence) + 1:]
+    return body[:body.index("```")]
 
 
 def test_run_writes_csv_and_reports(tmp_path, capsys):
@@ -202,6 +212,19 @@ def test_config_error_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.ini", "[controller]\nkind = maglev\n")
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "maglev" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\ndt_s = 0.002\n\n" + SHORT_LQR,
+    "[DEFAULT]\nkind = lqr\n\n[scenario]\nname = quick-lqr\n\n[controller]\n",
+    "[DEFAULT]\n\n" + SHORT_LQR,
+], ids=["sim-key", "controller-kind", "empty"])
+def test_default_section_is_an_unknown_section(tmp_path, capsys, text):
+    cfg = _write(tmp_path, "a.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {cfg}: unknown section [DEFAULT]"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["../escaped", "report", ""])
@@ -503,3 +526,25 @@ def test_builtin_reports_keep_their_bytes(tmp_path, capsys, monkeypatch, runs):
     text = (out / "report.txt").read_bytes()
     assert hashlib.sha256(text).hexdigest() == BUILTIN_REPORT_TXT_SHA256
     assert capsys.readouterr().out.encode() == text
+
+
+def test_repro_prints_the_readme_comparison(capsys, monkeypatch, runs):
+    import cartpend.repro
+
+    # the session's runs stand in for the simulations
+    monkeypatch.setattr(cartpend.repro, "run_scenario", lambda s: runs(s.name)[0])
+    assert main(["repro"]) == 0
+    captured = capsys.readouterr()
+    table = _readme_block("`cartpend repro` output on this machine:").splitlines()
+    assert len(table) == 15
+    assert captured.out.splitlines()[:15] == table
+    names = dict.fromkeys(name for name, *_ in cartpend.repro._ROWS)
+    assert captured.err.splitlines() == [f"running {name} ..." for name in names]
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(_readme_block("available as a library:"), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "scenario cart-position-hybrid-nominal"
+    assert lines[1].startswith("  hybrid: settling ")
+    assert math.isfinite(float(lines[-1]))

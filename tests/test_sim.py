@@ -158,6 +158,28 @@ def test_disturbance_outside_window_preserves_rng_state():
     assert forces[5:11].tolist() == expected
 
 
+@pytest.mark.parametrize("spec, draws", [
+    (DisturbanceSpec("uniform_noise", 1.0, 0.005, 0.010), 6),
+    (DisturbanceSpec("uniform_noise", 1.0, 0.5, 1.0), 0),
+    (DisturbanceSpec("uniform_noise", 1.0, 0.012, math.inf), 8),
+    (DisturbanceSpec("none", 1.0, 0.0, 1.0), 0),
+], ids=["inside-the-run", "after-the-run", "open-end", "kind-none"])
+def test_disturbance_draws_once_per_step_inside_its_window(monkeypatch, spec, draws):
+    import cartpend.sim
+
+    calls = []
+
+    class CountingSplitMix64(SplitMix64):
+        def uniform(self):
+            calls.append(None)
+            return super().uniform()
+
+    monkeypatch.setattr(cartpend.sim, "SplitMix64", CountingSplitMix64)
+    _disturbance_forces(spec)  # 20 steps, t = k * 1 ms
+    in_window = sum(spec.start_s <= k * 1e-3 <= spec.end_s for k in range(20))
+    assert len(calls) == draws == (in_window if spec.kind != "none" else 0)
+
+
 def test_disturbance_bounds_and_mean():
     # the run's draw is amplitude * (2 u - 1) of the generator's uniform u
     # (pinned by the test above); here its range and mean over 1e6 draws
