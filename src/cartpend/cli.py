@@ -57,9 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str):
-    """The UTF-8 text of ``path``, or None after printing an error line."""
+    """The UTF-8 text of ``path`` (a leading byte-order mark is dropped), or
+    None after printing an error line."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
     except UnicodeDecodeError as exc:

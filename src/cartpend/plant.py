@@ -33,7 +33,7 @@ class State(NamedTuple):
 
 @dataclass(frozen=True)
 class PlantParams:
-    """Physical constants of the rig. All strictly positive."""
+    """Physical constants of the rig. All strictly positive, and M not lost beside m."""
 
     cart_mass_kg: float = 1.2
     bob_mass_kg: float = 0.2
@@ -45,6 +45,12 @@ class PlantParams:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+        # make_derivative's den = l (M + m) - m l cos(theta)^2 is at least
+        # l (M + m) - m l in floats, so this keeps it positive at every theta
+        m_cart, m_bob, length = self.cart_mass_kg, self.bob_mass_kg, self.pendulum_length_m
+        if not length * (m_cart + m_bob) - m_bob * length > 0.0:
+            raise ValueError(f"cart_mass_kg = {m_cart!r} is too small beside bob_mass_kg = "
+                             f"{m_bob!r}: l (M + m) - m l is not positive in floats")
 
 
 @dataclass(frozen=True, eq=False)

@@ -268,11 +268,20 @@ def parse_scenario(text: str) -> Scenario:
         with _config_keys("disturbance"):
             sim = replace(sim, disturbance=DisturbanceSpec(**dist_args))
 
-    return Scenario(name=meta["name"], condition=meta["condition"], plant=plant,
-                    controller_kind=kind, controller_config=controller_config,
-                    sim=sim, initial_theta_rad=meta["initial_theta_rad"],
-                    cart_mass_multiplier=multipliers["cart_mass_multiplier"],
-                    pendulum_length_multiplier=multipliers["pendulum_length_multiplier"])
+    scenario = Scenario(name=meta["name"], condition=meta["condition"], plant=plant,
+                        controller_kind=kind, controller_config=controller_config,
+                        sim=sim, initial_theta_rad=meta["initial_theta_rad"],
+                        cart_mass_multiplier=multipliers["cart_mass_multiplier"],
+                        pendulum_length_multiplier=multipliers["pendulum_length_multiplier"])
+    try:
+        effective_plant(scenario)
+    except ValueError as exc:
+        # the simulated field the message names is the one its multiplier scales
+        key = ("pendulum_length_multiplier" if str(exc).startswith("pendulum_length_m")
+               else "cart_mass_multiplier")
+        raise ConfigError(f"[plant] {key} = {multipliers[key]!r} gives an invalid simulated "
+                          f"plant: {exc}") from None
+    return scenario
 
 
 def _format_value(kind: str, value) -> str:

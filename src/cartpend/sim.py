@@ -41,7 +41,10 @@ MAX_STEPS = 1_000_000
 # SplitMix64 keeps 64 bits of a seed, so one outside [0, 2**64) would alias
 SEED_LIMIT = 1 << 64
 
-_CSV_CHUNK_ROWS = 4096
+# The formatter holds about 250 bytes of temporaries per value, so a chunk
+# of 512 rows stays a small share of a long file's text; larger chunks
+# wrote the built-in CSVs no faster.
+_CSV_CHUNK_ROWS = 512
 
 # State from a 4-tuple without the Python-level namedtuple constructor
 _state = functools.partial(tuple.__new__, State)
@@ -136,14 +139,17 @@ class Trajectory:
     references: np.ndarray
 
     def _csv_chunks(self):
-        # "%.15g" % v is the same text as format(v, ".15g"). One repeated row
-        # template formats a chunk, so one chunk's floats and text live at a time.
+        # Each value is its "%.15g" text. One chunk's floats, temporaries and
+        # text live at a time. The formatter is imported here, on first use, so
+        # importing cartpend, or a process that writes no CSV, neither compiles
+        # it nor builds its tables.
+        from ._g15 import format_rows
+
         yield CSV_HEADER + "\n"
-        row = ",".join(["%.15g"] * 7) + "\n"
         columns = (self.times_s, self.states, self.inputs_N, self.references)
         for start in range(0, len(self.times_s), _CSV_CHUNK_ROWS):
-            chunk = np.column_stack([c[start:start + _CSV_CHUNK_ROWS] for c in columns])
-            yield row * len(chunk) % tuple(chunk.ravel().tolist())
+            yield format_rows(np.column_stack([c[start:start + _CSV_CHUNK_ROWS]
+                                               for c in columns]))
 
     def write_csv(self, path) -> None:
         """Write the CSV as UTF-8 chunk by chunk; ``path`` never holds a truncated run."""
@@ -287,26 +293,30 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
             times_s=times[:k + 1].copy(), states=np.array(log).reshape(k + 1, 4),
             inputs_N=inputs, references=refs[:k + 1].copy()), what)
 
-    # memoryview yields refs' entries as Python floats, without a copy. Outside
-    # the window the push is 0.0, and + 0.0 still turns a -0.0 force into 0.0.
-    for k, r, push in zip(range(n), memoryview(refs), pushes):
-        u = control(r, s, dt) + push
-        if lim is not None:
-            u = lim if u > lim else (-lim if u < -lim else u)
-        if not isfinite(u):
-            raise fault(k, "force non-finite")
-        forces.append(u)
-        try:
-            s = rk4_step(f, s, u, dt)
-        except (ValueError, OverflowError, FloatingPointError) as exc:
-            raise fault(k, f"RK4 step raised {type(exc).__name__}: {exc}") from None
-        th, thd, x, xd = s
-        # a finite sum means four finite values; an overflowing one is rechecked
-        if not isfinite(th + thd + x + xd) and not all(map(isfinite, s)):
-            # named as the CSV columns name the state
-            name = next(n for n, v in zip(CSV_HEADER.split(",")[1:5], s) if not isfinite(v))
-            raise fault(k, f"{name} non-finite")
-        log.extend(s)
+    # The loop checks every force and state itself, so numpy's overflow and
+    # invalid-value warnings (an LQR gain product on a huge state) are muted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # memoryview yields refs' entries as Python floats, without a copy. Outside
+        # the window the push is 0.0, and + 0.0 still turns a -0.0 force into 0.0.
+        for k, r, push in zip(range(n), memoryview(refs), pushes):
+            u = control(r, s, dt) + push
+            if lim is not None:
+                u = lim if u > lim else (-lim if u < -lim else u)
+            if not isfinite(u):
+                raise fault(k, "force non-finite")
+            forces.append(u)
+            try:
+                s = rk4_step(f, s, u, dt)
+            except (ValueError, OverflowError, FloatingPointError,
+                    ZeroDivisionError) as exc:
+                raise fault(k, f"RK4 step raised {type(exc).__name__}: {exc}") from None
+            th, thd, x, xd = s
+            # a finite sum means four finite values; an overflowing one is rechecked
+            if not isfinite(th + thd + x + xd) and not all(map(isfinite, s)):
+                # named as the CSV columns name the state
+                name = next(n for n, v in zip(CSV_HEADER.split(",")[1:5], s) if not isfinite(v))
+                raise fault(k, f"{name} non-finite")
+            log.extend(s)
 
     forces.append(forces[-1])
     return Trajectory(times_s=times, states=np.frombuffer(log).reshape(n + 1, 4),

@@ -325,6 +325,50 @@ def test_bad_disturbance_bound_exits_2_naming_its_section(tmp_path, capsys, key,
     assert not (out / "quick-lqr.csv").exists()
 
 
+@pytest.mark.parametrize("kind, plant, key", [
+    ("pid-simultaneous", "bob_mass_kg = 1e20", "[plant] cart_mass_kg"),
+    ("pid-simultaneous", "cart_mass_kg = 1e-20", "[plant] cart_mass_kg"),
+    ("pid-position", "cart_mass_multiplier = 1.7e308", "[plant] cart_mass_multiplier"),
+    ("lqr", "pendulum_length_m = 10\npendulum_length_multiplier = 1e308",
+     "[plant] pendulum_length_multiplier"),
+], ids=["huge-bob", "tiny-cart", "cart-multiplier-overflow", "length-multiplier-overflow"])
+def test_a_plant_the_field_cannot_run_exits_2(tmp_path, capsys, kind, plant, key):
+    # each once raised a traceback from inside the run (ZeroDivisionError from
+    # the field, or ValueError from the simulated plant) with exit 1
+    text = ("[scenario]\nname = bad\ncondition = parameter-variation\n\n"
+            f"[controller]\nkind = {kind}\n\n[plant]\n{plant}\n\n[sim]\nduration_s = 0.01\n")
+    cfg = _write(tmp_path, "a.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: {key} "), lines
+    assert not out.exists()
+
+
+def test_an_overflowing_lqr_force_prints_one_error_line(tmp_path, capsys):
+    # the gain product overflows at step 0; numpy's RuntimeWarning once came first
+    text = ("[scenario]\nname = far\ninitial_theta_rad = -1e308\n\n"
+            "[controller]\nkind = lqr\n\n[sim]\nduration_s = 0.01\n")
+    cfg = _write(tmp_path, "a.ini", text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scenario far diverged at step 0: force non-finite; partial trajectory kept"]
+    assert sorted(p.name for p in out.iterdir()) == ["far.csv", "report.csv", "report.txt"]
+
+
+def test_a_config_with_a_byte_order_mark_runs(tmp_path, capsys):
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xef\xbb\xbf" + SHORT_LQR.encode("utf-8"))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert main(["lqr-gain", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "quick-lqr.csv").exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 2
 

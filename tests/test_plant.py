@@ -41,6 +41,29 @@ def test_invalid_params_rejected():
         PlantParams(pendulum_length_m=0.0)
 
 
+@pytest.mark.parametrize("masses", [{"cart_mass_kg": 1e-20}, {"bob_mass_kg": 1e20}],
+                         ids=["tiny-cart", "huge-bob"])
+def test_a_cart_mass_lost_beside_the_bob_is_rejected(masses):
+    # M + m rounds to m, so the field's denominator would be 0 at theta = 0
+    with pytest.raises(ValueError, match="^cart_mass_kg = .* is too small beside bob_mass_kg"):
+        PlantParams(**masses)
+
+
+def test_every_accepted_cart_mass_keeps_the_field_finite():
+    # around the rounding edge of M + m = m: each cart mass is rejected, or
+    # its field is finite at the angles where cos(theta)^2 is largest
+    accepted = 0
+    for m_cart in np.geomspace(1e-19, 1e-14, 400):
+        try:
+            field = make_derivative(PlantParams(cart_mass_kg=float(m_cart)))
+        except ValueError:
+            continue
+        accepted += 1
+        for theta in (0.0, math.pi, -math.pi, 1e-9, 2 * math.pi):
+            assert all(map(math.isfinite, field((theta, 1.0, 0.0, 0.0), 1.0))), (m_cart, theta)
+    assert 0 < accepted < 400
+
+
 def test_upright_unforced_fixed_point():
     d = nonlinear_derivative(P, State(0.0, 0.0, 0.0, 0.0), 0.0)
     assert d == State(0.0, 0.0, 0.0, 0.0)

@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cartpend.sim
+from cartpend._g15 import _records, format_rows
 from cartpend.plant import PlantParams, State, linearize_at, mechanical_energy, nonlinear_derivative
 from cartpend.rng import SplitMix64
 from cartpend.sim import (
@@ -253,6 +256,25 @@ def test_finite_overflowing_force_faults_at_its_step():
     assert err.trajectory.states.tobytes() == clean.states[:6].tobytes()
 
 
+def test_a_field_dividing_by_zero_faults_at_its_step(monkeypatch):
+    # PlantParams keeps the plant field's denominator positive; a field that
+    # still divides by zero faults like any other RK4 step error
+    monkeypatch.setattr(cartpend.sim, "make_derivative",
+                        lambda params: lambda state, u: (0.0, 0.0, 0.0, 1.0 / u))
+    forces = iter([1.0, 1.0, 0.0])
+
+    class Scripted:
+        def step(self, reference, state, dt_s):
+            return next(forces)
+
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference=ReferenceSpec(0.0, 0.0))
+    with pytest.raises(SimulationFault) as exc:
+        run_closed_loop(P, Scripted(), cfg)
+    assert exc.value.step_index == 2
+    assert exc.value.what == "RK4 step raised ZeroDivisionError: float division by zero"
+    assert exc.value.trajectory.states.shape == (3, 4)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_fault_names_the_first_non_finite_state_entry(monkeypatch, bad):
     # a field whose rates turn non-finite from step 3 on, in one entry or from
@@ -368,7 +390,7 @@ def _csv_parse_oracle(text):
 
 
 def _edge_trajectory():
-    # more than one 4096-row chunk and not a multiple of it, with values
+    # several CSV chunks and not a whole number of them, with values
     # spanning the double range and the edge values in every column
     n = 2 * 4096 + 37
     rng = np.random.default_rng(5)
@@ -461,6 +483,85 @@ def test_both_parsers_reject_bad_layouts(text, tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             Trajectory.read_csv(path)
+
+
+def _rows_oracle(block):
+    """The one-template text the numpy formatter replaced, kept as its reference."""
+    row = ",".join(["%.15g"] * block.shape[1]) + "\n"
+    return row * len(block) % tuple(block.ravel().tolist())
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.integers(1, 7).flatmap(lambda width: st.lists(
+    st.lists(st.floats() | st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100),
+             min_size=width, max_size=width), min_size=1, max_size=40)))
+def test_format_rows_matches_the_template_oracle(rows):
+    # any double: NaN, infinities, subnormals and zeros of both signs, plus
+    # values drawn inside the range the numpy path formats
+    block = np.array(rows, dtype=np.float64)
+    assert format_rows(block) == _rows_oracle(block)
+
+
+@pytest.mark.parametrize("value, text", [
+    (100000000000000.5, "100000000000000"),  # ties at the 15th digit: half to even
+    (100000000000001.5, "100000000000002"),
+    (999999999999999.5, "1e+15"),  # a carry to a new power of ten
+    (999999999999999.4, "999999999999999"),
+    (0.000999999999999999951, "0.001"),
+    (1e-5, "1e-05"),
+    (1e-4, "0.0001"),
+    (1.5e-4, "0.00015"),
+    (1e14, "100000000000000"),
+    (1e15, "1e+15"),
+    (1e16, "1e+16"),
+    (-123456.789, "-123456.789"),
+    (1e-100, "1e-100"),  # three-digit exponents, inside and outside the numpy range
+    (-2.5e100, "-2.5e+100"),
+    (1e-101, "1e-101"),
+    (1.2345e200, "1.2345e+200"),
+    (5e-324, "4.94065645841247e-324"),
+    (1.7976931348623157e308, "1.79769313486232e+308"),
+    (0.0, "0"),
+    (-0.0, "-0"),
+    (math.nan, "nan"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+])
+def test_format_rows_hand_cases(value, text):
+    assert "%.15g" % value == text
+    assert format_rows(np.array([[value, value]])) == f"{text},{text}\n"
+
+
+def test_one_chunk_mixes_python_and_numpy_values():
+    # ties, non-finite values and values outside [1e-100, 1e100] go to
+    # Python's "%.15g"; the text is spliced in at each one's place
+    python = [100000000000000.5, 999999999999999.5, math.nan, -math.inf, 5e-324,
+              1e-101, -1.7976931348623157e308, 2.5e-200]
+    numpy = [0.0, -0.0, 0.3, -1.0, 1e-100, 1e100, 123.456, 1e15]
+    block = np.array([python[:4] + numpy[:4], numpy[4:] + python[4:]])
+    assert format_rows(block) == _rows_oracle(block)
+    assert _records(block)[1].tolist() == [True] * 4 + [False] * 8 + [True] * 4
+
+
+def test_format_rows_around_every_power_of_ten():
+    # the exponent search and the carry: 10**k, its float neighbours and
+    # their negatives, across the numpy range and past both of its ends
+    p = np.array([10.0 ** k for k in range(-110, 111)])
+    near = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf),
+                           p * (1 - 5e-16), p * (1 + 5e-16)])
+    block = np.concatenate([near, -near]).reshape(-1, 5)
+    assert format_rows(block) == _rows_oracle(block)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 37])
+def test_csv_rows_on_and_off_a_chunk_multiple(extra, tmp_path):
+    for chunks in (1, 3):
+        n = chunks * cartpend.sim._CSV_CHUNK_ROWS + extra
+        rng = np.random.default_rng(n)
+        table = rng.standard_normal((n, 7)) * 10.0 ** rng.integers(-8, 8, (n, 7))
+        traj = Trajectory(times_s=np.arange(n) * 1e-3, states=table[:, :4],
+                          inputs_N=table[:, 4], references=table[:, 5])
+        assert _csv_text(traj, tmp_path) == _csv_text_oracle(traj)
 
 
 def test_csv_write_and_read_memory_is_bounded_by_a_chunk(tmp_path):
