@@ -12,9 +12,10 @@ a fuzzy surface, and a crisp PID term on the raw error is added on top:
     lam  = theta r - theta' y
     u = fuzzy(kp lam + ki int(lam), kd dfilt(lam)) + cp e + ci int(e) + cd edot
 
-With the rate at zero the channel drops back to a fixed fuzzy PI-D on r
-(theta' = 0) or on the error (theta' = 1); a property test holds this
-reduction to float accuracy.
+With the rate at zero the channel is a fixed fuzzy PI-D on r (theta' = 0)
+or on the error (theta' = 1): it steps neither model nor the update, and a
+property test holds this reduction to float accuracy. The simultaneous
+hybrid builds its angle channel so: driven at r = 0 it has nothing to adapt.
 """
 from __future__ import annotations
 
@@ -112,23 +113,24 @@ class HybridChannel:
         self._first = True
 
     def step(self, r: float, y: float, edot: float, dt_s: float) -> float:
-        y_model = reference_model_step(self._model, r, dt_s)
-        e_model = y - y_model
-        y_model_filtered = reference_model_step(self._model_filter, y_model, dt_s)
-
-        # MIT-rule gradient step, each parameter boxed to the safety bound; a
-        # NaN fails the box test, stays NaN and is logged like any other clip
         theta, theta_prime = self.theta
-        bound = self._bound
-        theta -= self._gamma * (e_model * y * dt_s)
-        theta_prime -= self._gamma * e_model * y_model_filtered * dt_s
-        if not -bound <= theta <= bound:
-            theta = min(max(theta, -bound), bound)
-            self.clamp_events.append((self._steps, "theta"))
-        if not -bound <= theta_prime <= bound:
-            theta_prime = min(max(theta_prime, -bound), bound)
-            self.clamp_events.append((self._steps, "theta_prime"))
-        self.theta = (theta, theta_prime)
+        if self._gamma:
+            y_model = reference_model_step(self._model, r, dt_s)
+            e_model = y - y_model
+            y_model_filtered = reference_model_step(self._model_filter, y_model, dt_s)
+
+            # MIT-rule gradient step, each parameter boxed to the safety bound; a
+            # NaN fails the box test, stays NaN and is logged like any other clip
+            bound = self._bound
+            theta -= self._gamma * (e_model * y * dt_s)
+            theta_prime -= self._gamma * e_model * y_model_filtered * dt_s
+            if not -bound <= theta <= bound:
+                theta = min(max(theta, -bound), bound)
+                self.clamp_events.append((self._steps, "theta"))
+            if not -bound <= theta_prime <= bound:
+                theta_prime = min(max(theta_prime, -bound), bound)
+                self.clamp_events.append((self._steps, "theta_prime"))
+            self.theta = (theta, theta_prime)
 
         lam = theta * r - theta_prime * y
         e = r - y

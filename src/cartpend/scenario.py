@@ -382,11 +382,24 @@ def lqr_design(s: Scenario) -> LqrController:
     # a q error is about the first non-finite weight, else the smallest one
     worst = next((key for key in _Q_KEYS if not math.isfinite(cc[key])),
                  min(_Q_KEYS, key=cc.get))
-    theta_e = _OPERATING_POINTS[cc["operating_point"]]
+    point = cc["operating_point"]
+    theta_e = _OPERATING_POINTS[point]
     with _config_keys("controller", q=worst):
         weights = LqrWeights(q=np.diag([cc[key] for key in _Q_KEYS]), r=cc["r"])
+        # a plant whose coefficients overflow, or whose m_cart * l underflows to
+        # zero, has no linear model to design on
         try:
-            return lqr_synthesize(linearize_at(s.plant, theta_e), weights, tracked_output_index=2,
+            linear = linearize_at(s.plant, theta_e)
+            finite = np.isfinite(linear.a).all() and np.isfinite(linear.b).all()
+        except ZeroDivisionError:
+            finite = False
+        if not finite:
+            named = ", ".join(f"{f.name} = {getattr(s.plant, f.name)!r}"
+                              for f in fields(PlantParams))
+            raise ConfigError(f"[plant] no finite linear model about the {point} point "
+                              f"for {named}")
+        try:
+            return lqr_synthesize(linear, weights, tracked_output_index=2,
                                   equilibrium=State(theta_e, 0.0, 0.0, 0.0))
         except ConvergenceError as exc:
             named = ", ".join(f"{key} = {cc[key]:g}" for key in _Q_KEYS + ("r",))
@@ -413,7 +426,8 @@ def build_controller(s: Scenario):
         if kind == "hybrid":
             return CascadeLoop(_build_channel(cc))
         if kind == "hybrid-simultaneous":
-            return SimultaneousLoop(_build_channel(cc, "angle_"),
+            # driven at r = 0 the angle channel's models and update stay inert
+            return SimultaneousLoop(_build_channel(dict(cc, gamma=0.0), "angle_"),
                                     _build_channel(cc, "position_"))
     raise ConfigError(f"[controller] kind: unknown kind {kind!r}")
 

@@ -157,8 +157,9 @@ class Trajectory:
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
-        """Parse a UTF-8 CSV file line by line, never holding its whole text."""
-        with open(path, encoding="utf-8") as fh:
+        """Parse a UTF-8 CSV file line by line, never holding its whole text; a
+        leading byte-order mark is dropped."""
+        with open(path, encoding="utf-8-sig") as fh:
             return cls._parse_csv(fh)
 
     @classmethod

@@ -1,13 +1,18 @@
 """Command line interface: verbs, exit codes, output layout, reproducibility."""
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
+from cartpend import scenario
 from cartpend.cli import main
 from cartpend.metrics import REPORT_CSV_HEADER
 from cartpend.sim import CSV_HEADER
@@ -369,6 +374,41 @@ def test_a_config_with_a_byte_order_mark_runs(tmp_path, capsys):
     assert (out / "quick-lqr.csv").exists()
 
 
+def test_analyze_accepts_a_csv_with_a_byte_order_mark(tmp_path, capsys):
+    text = CSV_HEADER + "\n0,0,0,0,0,0,0.3\n0.001,0,0,0.1,0,0,0.3\n0.002,0,0,0.3,0,0,0.3\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    outputs = []
+    for path in (plain, bom):
+        assert main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1] != ""
+
+
+@pytest.mark.parametrize("verb", ["run", "lqr-gain"])
+@pytest.mark.parametrize("plant", [
+    "cart_mass_kg = 1e308",
+    "gravity_ms2 = 1e308",
+    "pendulum_length_m = 5e-324",
+    "cart_mass_kg = 0.5\npendulum_length_m = 5e-324",  # m_cart * l underflows to 0
+], ids=["cart-mass-overflow", "gravity-overflow", "length-subnormal", "mass-length-underflow"])
+def test_an_lqr_plant_without_a_finite_linearization_names_the_plant(tmp_path, capsys,
+                                                                      verb, plant):
+    cfg = _write(tmp_path, "a.ini", f"[controller]\nkind = lqr\n\n[sim]\nduration_s = 0.01"
+                                    f"\n\n[plant]\n{plant}\n")
+    argv = [verb, cfg] + (["--out", str(tmp_path / "out")] if verb == "run" else [])
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "[plant]" in lines[0] and "upright" in lines[0]
+    for key in ("cart_mass_kg", "bob_mass_kg", "pendulum_length_m", "gravity_ms2"):
+        assert f"{key} = " in lines[0]
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 2
 
@@ -592,3 +632,139 @@ def test_readme_library_example_runs(capsys):
     assert lines[0] == "scenario cart-position-hybrid-nominal"
     assert lines[1].startswith("  hybrid: settling ")
     assert math.isfinite(float(lines[-1]))
+
+
+# ---------------- the input boundary, property-tested ----------------
+
+_BOUNDARY_VALUES = ("0", "-0.0", "5e-324", "1e308", "inf", "-inf", "nan", "-1", "", "1 2")
+_KEY_TABLES = {"scenario": scenario._SCENARIO_KEYS, "plant": scenario._PLANT_KEYS,
+               "sim": scenario._SIM_KEYS, "disturbance": scenario._DISTURBANCE_KEYS}
+
+
+def _config_text(sections):
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   + "\n" for section, keys in sections.items())
+
+
+@st.composite
+def _boundary_configs(draw, kinds):
+    """A 0.01 s run of one controller kind with 1-3 schema keys set to edge values."""
+    kind = draw(st.sampled_from(kinds))
+    tables = {**_KEY_TABLES, "controller": scenario._CONTROLLER_SCHEMAS[kind]}
+    keys = [(section, key) for section, table in tables.items() for key in table]
+    sections = {"scenario": {"name": "fuzz"}, "controller": {"kind": kind},
+                "sim": {"duration_s": "0.01"}}
+    for section, key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                                      unique=True)):
+        sections.setdefault(section, {})[key] = draw(st.sampled_from(_BOUNDARY_VALUES))
+    return _config_text(sections)
+
+
+def _check_boundary(name, text, verbs):
+    """Each verb exits 0, 1 or 2 with only ``error:`` lines, nothing outside ``--out``."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # contextlib.chdir needs Python 3.11
+        try:
+            _check_verbs(name, text, verbs)
+            assert sorted(os.listdir()) in ([name], [name, "out"]), (text, os.listdir())
+        finally:
+            os.chdir(cwd)
+
+
+def _check_verbs(name, text, verbs):
+    Path(name).write_bytes(text.encode("utf-8"))
+    for verb in verbs:
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([verb, name] + (["--out", "out"] if verb == "run" else []))
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), (verb, text, code)
+        assert all(line.startswith("error:") for line in lines), (verb, text, lines)
+        assert (code == 0) == (lines == []), (verb, text, lines)
+        assert not caught, (verb, text, [str(w.message) for w in caught])
+        if code == 1:
+            diverged = [line.split()[2] for line in lines if " diverged at step " in line]
+            assert verb == "run" and diverged, (text, lines)
+            assert all((Path("out") / f"{stem}.csv").exists() for stem in diverged)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_boundary_configs(sorted(set(scenario._CONTROLLER_SCHEMAS) - {"lqr"})))
+def test_edge_values_in_a_config_give_an_exit_code_and_error_lines(text):
+    _check_boundary("a.ini", text, ["run"])
+
+
+# an lqr weight set the Riccati sweep cannot settle costs about 2 s, so fewer examples
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_boundary_configs(["lqr"]))
+def test_edge_values_in_an_lqr_config_give_an_exit_code_and_error_lines(text):
+    _check_boundary("a.ini", text, ["run", "lqr-gain"])
+
+
+_CSV_FIELDS = ("0", "-0.0", "0.3", "5e-324", "1e308", "inf", "nan", "", " 1", "1_0", "x")
+
+
+@st.composite
+def _csv_texts(draw):
+    rows = draw(st.lists(st.lists(st.sampled_from(_CSV_FIELDS), min_size=6, max_size=8),
+                         max_size=4))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [CSV_HEADER] + [",".join(row) for row in rows]
+    return draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_csv_texts())
+def test_edge_values_in_a_csv_give_an_exit_code_and_error_lines(text):
+    _check_boundary("a.csv", text, ["analyze"])
+
+
+def _valid_value(section, key, kind):
+    if key == "condition":
+        return st.sampled_from(scenario._CONDITIONS)
+    if key == "operating_point":
+        return st.sampled_from(sorted(scenario._OPERATING_POINTS))
+    if section == "disturbance" and key == "kind":
+        return st.sampled_from(["none", "uniform_noise"])
+    if kind == "str":
+        return st.from_regex(scenario._NAME, fullmatch=True).filter(lambda n: n != "report")
+    if kind == "int":
+        return st.integers(0, 2**64 - 1).map(str)
+    if kind == "ints":
+        return st.lists(st.integers(0, 6), min_size=7, max_size=7).map(
+            lambda v: " ".join(map(str, v)))
+    if kind == "floats":
+        return st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7, unique=True).map(
+            lambda v: " ".join(map(repr, sorted(v))))
+    return st.floats(1e-3, 1e3).map(repr)
+
+
+@st.composite
+def _valid_scenarios(draw):
+    kind = draw(st.sampled_from(sorted(scenario._CONTROLLER_SCHEMAS)))
+    tables = {**_KEY_TABLES, "controller": scenario._CONTROLLER_SCHEMAS[kind]}
+    keys = [(section, key, value_kind) for section, table in tables.items()
+            for key, (value_kind, _) in table.items()]
+    sections = {"controller": {"kind": kind}}
+    for section, key, value_kind in draw(st.lists(st.sampled_from(keys), max_size=6,
+                                                  unique=True)):
+        sections.setdefault(section, {})[key] = draw(_valid_value(section, key, value_kind))
+    try:
+        return scenario.parse_scenario(_config_text(sections))
+    except scenario.ConfigError:
+        reject()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_valid_scenarios())
+def test_parse_serialize_parse_round_trips(s):
+    text = scenario.serialize_scenario(s)
+    again = scenario.parse_scenario(text)
+    assert again == s
+    assert scenario.serialize_scenario(again) == text

@@ -13,11 +13,12 @@ from cartpend.sim import ReferenceSpec, SimConfig, run_closed_loop
 P = PlantParams()
 
 
-def _angle_channel():
+def _angle_channel(**adaptation):
     return HybridChannel(
         channel_gains=PidGains(5.0, 0.0, 1.0, 0.01),
         crisp_gains=PidGains(40.0, 0.0, 4.0, 0.01),
         fuzzy_system=FuzzySystem(output_scale=8.0),
+        **adaptation,
     )
 
 
@@ -225,6 +226,27 @@ def test_adaptation_off_structural_reduction(theta_prime):
     want = _reduction_reference(1.1, 0.4, 0.7, 2.0, 0.3, 0.5, fsys, lams, es, edots, 0.01, dt)
     got = [ch.step(r, y, ed, dt) for r, y, ed in zip(rs, ys, edots)]
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_a_channel_driven_at_zero_reference_adapts_nothing_that_reaches_its_output():
+    # at r = 0 theta multiplies 0 and theta' steps along a model output that stays 0
+    rng = np.random.default_rng(28)
+    # the shipped rate, and one that moves theta far from 1 inside the +-100 box
+    channels = [_angle_channel(gamma=gamma) for gamma in (0.0, 0.001, 1e3)]
+    for y, edot in rng.uniform(-0.2, 0.2, (5000, 2)):
+        outs = {ch.step(0.0, float(y), float(edot), 1e-3).hex() for ch in channels}
+        assert len(outs) == 1, outs
+    assert channels[0].theta == (1.0, 1.0)
+    assert channels[1].theta[0] != 1.0 and channels[1].theta[1] == 1.0
+    assert channels[2].theta[0] < -10.0 and channels[2].theta[1] == 1.0
+    assert channels[2].clamp_events == []
+
+
+@pytest.mark.parametrize("condition", ["nominal", "disturbance", "parameter-variation"])
+def test_the_simultaneous_hybrid_adapts_its_position_channel_only(runs, condition):
+    ctrl = runs(f"simultaneous-hybrid-{condition}")[1]
+    assert ctrl.angle.theta == (1.0, 1.0)
+    assert ctrl.position.theta[0] != 1.0 and ctrl.position.theta[1] != 1.0
 
 
 def _hot_channel():
