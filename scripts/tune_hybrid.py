@@ -16,10 +16,12 @@ scenario's defaults keep theta_max modest instead of taking the top row.
 
 Rows that diverge or never settle are dropped; the rest are ranked by
 settling time of the cart position. ``swing`` is the peak |theta - theta(0)|.
+A ``--duration`` or ``--gamma`` the scenario rejects exits 2 with one error line.
 """
 import argparse
 import dataclasses
 import itertools
+import sys
 
 from cartpend.metrics import score_trajectory
 from cartpend.scenario import builtin_scenarios, run_scenario
@@ -67,20 +69,25 @@ def main():
     duration = base.sim.duration_s if args.duration is None else args.duration
     gamma = base.controller_config["gamma"] if args.gamma is None else args.gamma
     rows = []
-    for values in itertools.product(*grid.values()):
-        try:
-            m, swing = evaluate(base, dict(zip(grid, values)), gamma, duration)
-        except SimulationFault:
-            continue
-        if m.settled:
-            rows.append((m.settling_time_s, m.overshoot_pct, m.steady_state_error,
-                         swing, *values))
+    try:
+        for values in itertools.product(*grid.values()):
+            try:
+                m, swing = evaluate(base, dict(zip(grid, values)), gamma, duration)
+            except SimulationFault:
+                continue
+            if m.settled:
+                rows.append((m.settling_time_s, m.overshoot_pct, m.steady_state_error,
+                             swing, *values))
+    except ValueError as exc:  # a bad --duration or --gamma; ConfigError is one
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows.sort()
     print("settle_s overshoot_pct sse      swing_rad " + " ".join(grid))
     for settle, over, sse, swing, *values in rows[:args.top]:
         print(f"{settle:8.3f} {over:13.2f} {sse:+.1e} {swing:9.4f} "
               + " ".join(f"{v:{len(key)}.2f}" for key, v in zip(grid, values)))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

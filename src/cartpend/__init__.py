@@ -60,7 +60,6 @@ from .scenario import (
 )
 from .sim import (
     DisturbanceSpec,
-    ReferenceSpec,
     SimConfig,
     SimulationFault,
     Trajectory,

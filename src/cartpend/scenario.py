@@ -4,9 +4,11 @@ A scenario names a plant, a controller with its gains, a simulation window
 with a step reference, and one of three study conditions: ``nominal``,
 ``disturbance`` (uniform random force noise at the input), or
 ``parameter-variation`` (plant multipliers applied to the simulated cart
-while the controller keeps its nominal design). Text and dataclass forms
-round-trip exactly; every field has a default, so the shortest valid config
-is two lines naming a controller kind.
+while the controller keeps its nominal design). The ``[plant]`` and ``[sim]``
+keys are the fields of ``PlantParams`` and ``SimConfig``, and the text is
+written from those records. Text and dataclass forms round-trip exactly;
+every field has a default, so the shortest valid config is two lines naming
+a controller kind.
 
 The built-in catalog covers two studies times three controller families
 times three conditions: swing the cart of a hanging pendulum to a 1 m step,
@@ -37,7 +39,7 @@ from .classic import (
 from .fuzzy import FuzzySystem
 from .hybrid import HybridChannel
 from .plant import PlantParams, State, linearize_at
-from .sim import DisturbanceSpec, ReferenceSpec, SimConfig, Trajectory, run_closed_loop
+from .sim import DisturbanceSpec, SimConfig, Trajectory, run_closed_loop
 
 
 class ConfigError(ValueError):
@@ -98,14 +100,8 @@ _PLANT_KEYS = {
     "cart_mass_multiplier": ("float", 1.0),
     "pendulum_length_multiplier": ("float", 1.0),
 }
-_SIM_KEYS = {
-    "dt_s": ("float", SimConfig.dt_s),
-    "duration_s": ("float", SimConfig.duration_s),
-    "seed": ("int", SimConfig.seed),
-    "force_limit_N": ("float", SimConfig.force_limit_N),
-    "reference_amplitude": ("float", ReferenceSpec.amplitude),
-    "reference_step_time_s": ("float", ReferenceSpec.step_time_s),
-}
+_SIM_KEYS = {f.name: ("int" if f.name == "seed" else "float", f.default)
+             for f in fields(SimConfig) if f.name != "disturbance"}
 _DISTURBANCE_KEYS = {
     "kind": ("str", "uniform_noise"),
     "amplitude_N": ("float", 0.5),
@@ -253,26 +249,17 @@ def parse_scenario(text: str) -> Scenario:
     with _config_keys("plant"):
         plant = PlantParams(**plant_vals)
 
-    sim_vals = _read_section(cp, "sim", _SIM_KEYS)
-    duration = sim_vals["duration_s"]
-    with _config_keys("sim", amplitude="reference_amplitude",
-                      step_time_s="reference_step_time_s"):
-        reference = ReferenceSpec(amplitude=sim_vals["reference_amplitude"],
-                                  step_time_s=sim_vals["reference_step_time_s"])
-        sim = SimConfig(dt_s=sim_vals["dt_s"], duration_s=duration, reference=reference,
-                        seed=sim_vals["seed"], force_limit_N=sim_vals["force_limit_N"])
+    with _config_keys("sim"):
+        sim = SimConfig(**_read_section(cp, "sim", _SIM_KEYS))
     if cp.has_section("disturbance") or meta["condition"] == "disturbance":
         dist_args = _read_section(cp, "disturbance", _DISTURBANCE_KEYS)
         if dist_args["end_s"] is None:
-            dist_args["end_s"] = duration
+            dist_args["end_s"] = sim.duration_s
         with _config_keys("disturbance"):
             sim = replace(sim, disturbance=DisturbanceSpec(**dist_args))
 
-    scenario = Scenario(name=meta["name"], condition=meta["condition"], plant=plant,
-                        controller_kind=kind, controller_config=controller_config,
-                        sim=sim, initial_theta_rad=meta["initial_theta_rad"],
-                        cart_mass_multiplier=multipliers["cart_mass_multiplier"],
-                        pendulum_length_multiplier=multipliers["pendulum_length_multiplier"])
+    scenario = Scenario(**meta, **multipliers, plant=plant, controller_kind=kind,
+                        controller_config=controller_config, sim=sim)
     try:
         effective_plant(scenario)
     except ValueError as exc:
@@ -303,21 +290,10 @@ def serialize_scenario(s: Scenario) -> str:
     ``force_limit_N`` is left out. Keys missing from ``controller_config``
     are written with their schema defaults.
     """
-    sim = s.sim
-    values = {
-        "scenario": {"name": s.name, "condition": s.condition,
-                     "initial_theta_rad": s.initial_theta_rad},
-        "plant": {**{f.name: getattr(s.plant, f.name) for f in fields(PlantParams)},
-                  "cart_mass_multiplier": s.cart_mass_multiplier,
-                  "pendulum_length_multiplier": s.pendulum_length_multiplier},
-        "controller": s.controller_config,
-        "sim": {"dt_s": sim.dt_s, "duration_s": sim.duration_s, "seed": sim.seed,
-                "force_limit_N": sim.force_limit_N,
-                "reference_amplitude": sim.reference.amplitude,
-                "reference_step_time_s": sim.reference.step_time_s},
-        "disturbance": {f.name: getattr(sim.disturbance, f.name)
-                        for f in fields(DisturbanceSpec)},
-    }
+    # each schema key names a field of its section's record; the multipliers are Scenario's
+    values = {"scenario": vars(s), "plant": {**vars(s), **vars(s.plant)},
+              "controller": s.controller_config, "sim": vars(s.sim),
+              "disturbance": vars(s.sim.disturbance)}
     # the kind is the default of the schema's first key, as in parse_scenario
     schemas = {"scenario": _SCENARIO_KEYS, "plant": _PLANT_KEYS,
                "controller": {"kind": ("str", s.controller_kind),

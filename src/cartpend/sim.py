@@ -9,6 +9,10 @@ The loop contract per step k:
 4. clamp to the force limit when one is set,
 5. log, then advance the plant one RK4 step.
 
+``SimConfig`` holds one field per ``[sim]`` config key, plus the disturbance.
+The reference is a step: 0 before ``reference_step_time_s``,
+``reference_amplitude`` at and after.
+
 Everything is deterministic given the config, so a rerun reproduces the
 trajectory byte for byte.
 """
@@ -51,20 +55,6 @@ _state = functools.partial(tuple.__new__, State)
 
 
 @dataclass(frozen=True)
-class ReferenceSpec:
-    """Step reference: 0 before ``step_time_s``, ``amplitude`` at and after."""
-
-    amplitude: float = 0.3
-    step_time_s: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.amplitude):
-            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
-        if not (math.isfinite(self.step_time_s) and self.step_time_s >= 0.0):
-            raise ValueError(f"step_time_s must be >= 0, got {self.step_time_s!r}")
-
-
-@dataclass(frozen=True)
 class DisturbanceSpec:
     """Additive input disturbance, active on [start_s, end_s] inclusive.
 
@@ -94,12 +84,19 @@ class DisturbanceSpec:
 class SimConfig:
     dt_s: float = 1e-3
     duration_s: float = 40.0
-    reference: ReferenceSpec = field(default_factory=ReferenceSpec)
-    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     seed: int = 12345
     force_limit_N: Optional[float] = None
+    reference_amplitude: float = 0.3
+    reference_step_time_s: float = 0.0
+    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
 
     def __post_init__(self):
+        if not math.isfinite(self.reference_amplitude):
+            raise ValueError(f"reference_amplitude must be finite, "
+                             f"got {self.reference_amplitude!r}")
+        if not (math.isfinite(self.reference_step_time_s) and self.reference_step_time_s >= 0.0):
+            raise ValueError(f"reference_step_time_s must be >= 0, "
+                             f"got {self.reference_step_time_s!r}")
         if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
             raise ValueError(f"dt_s must be positive, got {self.dt_s!r}")
         if not (math.isfinite(self.duration_s) and self.duration_s >= self.dt_s):
@@ -183,6 +180,11 @@ class Trajectory:
         if not finite.all():
             raise ValueError(f"trajectory csv data row {int(finite.argmin()) + 1} "
                              f"has a non-finite value")
+        # a run's times increase row by row; settling is read off this column
+        rising = np.diff(data[:, 0]) > 0.0
+        if not rising.all():
+            raise ValueError(f"trajectory csv data row {int(rising.argmin()) + 2} "
+                             f"has a time t not after the row before")
         return cls(times_s=data[:, 0], states=data[:, 1:5], inputs_N=data[:, 5],
                    references=data[:, 6])
 
@@ -265,7 +267,7 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
     n = config.step_count
     dt = config.dt_s
     times = np.arange(n + 1) * dt
-    refs = np.where(times >= config.reference.step_time_s, config.reference.amplitude, 0.0)
+    refs = np.where(times >= config.reference_step_time_s, config.reference_amplitude, 0.0)
     log = array("d", initial_state)
     forces = array("d")
 

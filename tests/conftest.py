@@ -38,6 +38,8 @@ _MALFORMED_CSV_BODIES = {
     "underscore-literal": "1_0,0,0,0,0,0,0\n",
     "nan": "0,0,0,0,0,0,0\n0.001,0,0,nan,0,0,0\n",
     "inf": "0,0,0,0,0,0,inf\n",
+    "time-backwards": "0.5,0,0,1,0,0,1\n0.1,0,0,1,0,0,1\n0.3,0,0,1,0,0,1\n",
+    "time-repeated": "0,0,0,1,0,0,1\n0,0,0,1,0,0,1\n",
 }
 
 

@@ -549,11 +549,11 @@ def test_simultaneous_angle_loop_off_is_unstable():
 
 
 def test_simultaneous_tracks_and_balances():
-    from cartpend.sim import ReferenceSpec, SimConfig, run_closed_loop
+    from cartpend.sim import SimConfig, run_closed_loop
 
     ctrl = pid_simultaneous_topology(PidGains(30.0, 0.1, 4.0, 0.01),
                                      PidGains(1.8, 0.5, 3.0, 0.01))
-    cfg = SimConfig(dt_s=1e-3, duration_s=20.0, reference=ReferenceSpec(0.3, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=20.0, reference_amplitude=0.3)
     traj = run_closed_loop(P, ctrl, cfg)
     assert abs(traj.states[-1, 2] - 0.3) <= 0.01
     assert abs(traj.states[-1, 0]) <= 1e-3

@@ -8,7 +8,7 @@ from cartpend.classic import CascadeLoop, PidChannel, PidGains, SimultaneousLoop
 from cartpend.fuzzy import FuzzySystem, fuzzy_infer
 from cartpend.hybrid import HybridChannel, ReferenceModel, reference_model_step
 from cartpend.plant import PlantParams, State
-from cartpend.sim import ReferenceSpec, SimConfig, run_closed_loop
+from cartpend.sim import SimConfig, run_closed_loop
 
 P = PlantParams()
 
@@ -409,7 +409,7 @@ def test_simultaneous_equilibrium_zero_output():
 
 def test_simultaneous_stabilizes_small_tilt():
     ctrl = SimultaneousLoop(_angle_channel(), _position_channel())
-    cfg = SimConfig(dt_s=1e-3, duration_s=15.0, reference=ReferenceSpec(0.0, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=15.0, reference_amplitude=0.0)
     traj = run_closed_loop(P, ctrl, cfg, initial_state=State(0.05, 0.0, 0.0, 0.0))
     assert abs(traj.states[-1, 0]) < 5e-3
     assert abs(traj.states[-1, 2]) < 0.05
@@ -418,7 +418,7 @@ def test_simultaneous_stabilizes_small_tilt():
 
 def test_simultaneous_step_keeps_pendulum_tight():
     ctrl = SimultaneousLoop(_angle_channel(), _position_channel())
-    cfg = SimConfig(dt_s=1e-3, duration_s=15.0, reference=ReferenceSpec(0.3, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=15.0, reference_amplitude=0.3)
     traj = run_closed_loop(P, ctrl, cfg)
     th = np.abs(traj.states[:, 0])
     # pendulum excursion returns below 0.01 rad within 10 s and stays there
@@ -430,7 +430,7 @@ def test_simultaneous_step_keeps_pendulum_tight():
 
 def test_position_topology_reaches_cart_reference():
     ctrl = CascadeLoop(_cart_channel())
-    cfg = SimConfig(dt_s=1e-3, duration_s=10.0, reference=ReferenceSpec(1.0, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=10.0, reference_amplitude=1.0)
     traj = run_closed_loop(P, ctrl, cfg, initial_state=State(math.pi, 0.0, 0.0, 0.0))
     assert abs(traj.states[-1, 2] - 1.0) < 0.02
 

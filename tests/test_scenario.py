@@ -1,8 +1,10 @@
 """Scenario config parsing, defaults, round-trip identity, and the built-in matrix."""
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from cartpend.classic import (
 )
 from cartpend.fuzzy import FuzzySystem
 from cartpend.hybrid import HybridChannel
+from cartpend import scenario
 from cartpend.metrics import report_csv_row, score_trajectory
 from cartpend.scenario import (
     ConfigError,
@@ -32,7 +35,8 @@ from cartpend.scenario import (
 from cartpend.plant import PlantParams, State, linearize_at
 from cartpend.sim import SimConfig, run_closed_loop
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden.json"
 
 MINIMAL = "[controller]\nkind = lqr\n"
 
@@ -47,7 +51,7 @@ def test_minimal_lqr_defaults():
     assert s.plant.gravity_ms2 == 9.8
     assert s.sim.dt_s == 1e-3
     assert s.sim.duration_s == 40.0
-    assert s.sim.reference.amplitude == 0.3
+    assert s.sim.reference_amplitude == 0.3
     assert s.sim.disturbance.kind == "none"
     assert s.initial_theta_rad == 0.0
     cc = s.controller_config
@@ -92,6 +96,24 @@ def test_out_of_range_values_rejected():
         parse_scenario("[controller]\nkind = lqr\n\n[plant]\ncart_mass_kg = -1\n")
     with pytest.raises(ConfigError):
         parse_scenario("[controller]\nkind = lqr\n\n[sim]\ndt_s = 50\nduration_s = 1\n")
+
+
+@pytest.mark.parametrize("keys, message", [
+    ({"dt_s": "0", "reference_amplitude": "inf"},
+     "reference_amplitude must be finite, got inf"),
+    ({"duration_s": "nan", "reference_step_time_s": "-1"},
+     "reference_step_time_s must be >= 0, got -1.0"),
+    ({"reference_amplitude": "inf", "reference_step_time_s": "-1"},
+     "reference_amplitude must be finite, got inf"),
+    ({"dt_s": "0", "seed": "-1", "force_limit_N": "0"}, "dt_s must be positive, got 0.0"),
+    ({"seed": "-1", "force_limit_N": "0"}, "seed must be in [0, 2**64), got -1"),
+], ids=["dt-amplitude", "duration-step-time", "amplitude-step-time", "dt-seed-limit",
+        "seed-limit"])
+def test_several_bad_sim_keys_name_the_reference_keys_first(keys, message):
+    body = "".join(f"{key} = {value}\n" for key, value in keys.items())
+    with pytest.raises(ConfigError) as e:
+        parse_scenario(f"{MINIMAL}\n[sim]\n{body}")
+    assert str(e.value) == f"[sim] {message}"
 
 
 def test_condition_validation():
@@ -162,12 +184,12 @@ def test_builtin_catalog_shape():
         assert s.condition in conditions
         if name.startswith("cart-position-"):
             assert s.initial_theta_rad == pytest.approx(math.pi)
-            assert s.sim.reference.amplitude == 1.0
+            assert s.sim.reference_amplitude == 1.0
             assert s.controller_kind in ("pid-position", "lqr", "hybrid")
         else:
             assert name.startswith("simultaneous-")
             assert s.initial_theta_rad == 0.0
-            assert s.sim.reference.amplitude == 0.3
+            assert s.sim.reference_amplitude == 0.3
             assert s.controller_kind in ("pid-simultaneous", "lqr", "hybrid-simultaneous")
     # parameter-variation cart runs leave room for slow loops
     assert cat["cart-position-pid-parameter-variation"].sim.duration_s == 120.0
@@ -275,3 +297,53 @@ def test_non_finite_pid_gain_is_a_controller_error(key, value):
     s = parse_scenario(f"[controller]\nkind = pid-position\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=rf"\[controller\] {key} must be finite"):
         build_controller(s)
+
+
+def _readme_config_table() -> dict:
+    """Section -> [(key, parenthesized default text or '')] from README's config table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Scenario configs", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in (ln for ln in section.splitlines() if ln.startswith("| `[")):
+        # a cell may hold an escaped \| between alternatives
+        _, name, keys, _ = re.split(r"(?<!\\)\|", line)
+        rows[name.strip().strip("`[]")] = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", keys)
+    return rows
+
+
+@pytest.mark.parametrize("section", ["scenario", "plant", "sim", "disturbance"])
+def test_readme_config_table_matches_the_schema(section):
+    schema = getattr(scenario, f"_{section.upper()}_KEYS")
+    row = _readme_config_table()[section]
+    assert [key for key, _ in row] == list(schema)
+    printed = {}
+    for key, text in row:
+        with contextlib.suppress(ValueError):
+            printed[key] = float(text)
+    numeric = {key: default for key, (_, default) in schema.items()
+               if isinstance(default, (int, float))}
+    assert printed == numeric
+
+
+def _cart_positions(s, amplitude):
+    sim = dataclasses.replace(s.sim, duration_s=10.0, reference_amplitude=amplitude)
+    return run_scenario(dataclasses.replace(s, sim=sim)).states[:, 2]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in builtin_scenarios() if n.endswith("-nominal")))
+def test_small_steps_give_homogeneous_nominal_responses(name):
+    """x(a) / a settles onto one shape as the step amplitude a shrinks.
+
+    D(a) = max |x(a)/a - x(10a)/(10a)| over a 10 s run. The PID and LQR loops
+    are linear about the equilibrium and the plant is odd-symmetric, so D falls
+    100x per decade of a; the fuzzy surface's kink at the origin leaves the
+    hybrid loops homogeneous of degree one, with D falling about 10x.
+    """
+    s = builtin_scenarios()[name]
+    x = {a: _cart_positions(s, a) / a for a in (1e-4, 1e-3, 1e-2)}
+    d_small = np.abs(x[1e-4] - x[1e-3]).max()
+    d_large = np.abs(x[1e-3] - x[1e-2]).max()
+    if s.controller_kind.startswith("hybrid"):
+        assert d_small <= d_large / 5 and d_small <= 2e-2, (d_small, d_large)
+    else:
+        assert d_small <= d_large / 50 and d_small <= 1e-8, (d_small, d_large)

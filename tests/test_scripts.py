@@ -29,3 +29,17 @@ def test_tune_hybrid_runs_and_names_every_grid_key(study):
     _, grid = _studies()[study]
     assert header[:4] == ["settle_s", "overshoot_pct", "sse", "swing_rad"]
     assert header[4:] == list(grid)
+
+
+@pytest.mark.parametrize("args", [
+    ["cart", "--gamma", "-1", "--duration", "0.01"],
+    ["simultaneous", "--duration", "0.0105"],
+], ids=["negative-gamma", "fractional-steps"])
+def test_tune_hybrid_rejects_bad_input_with_one_error_line(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(SCRIPT), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""

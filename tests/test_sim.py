@@ -15,7 +15,6 @@ from cartpend.sim import (
     CSV_HEADER,
     MAX_STEPS,
     DisturbanceSpec,
-    ReferenceSpec,
     SimConfig,
     SimulationFault,
     Trajectory,
@@ -91,7 +90,7 @@ def test_rk4_order_unforced_pendulum():
 
 
 def test_energy_drift_conservative_swing():
-    cfg = SimConfig(dt_s=1e-3, duration_s=10.0, reference=ReferenceSpec(0.0, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=10.0, reference_amplitude=0.0)
     traj = run_closed_loop(P, _ZeroController(), cfg, initial_state=State(3.0, 0.0, 0.0, 0.0))
     e0 = mechanical_energy(P, State(*traj.states[0]))
     eT = mechanical_energy(P, State(*traj.states[-1]))
@@ -99,7 +98,7 @@ def test_energy_drift_conservative_swing():
 
 
 def test_zero_everything_stays_at_origin():
-    cfg = SimConfig(dt_s=1e-3, duration_s=1.0, reference=ReferenceSpec(0.0, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=1.0, reference_amplitude=0.0)
     traj = run_closed_loop(P, _ZeroController(), cfg)
     assert np.all(traj.states == 0.0)
     assert np.all(traj.inputs_N == 0.0)
@@ -109,7 +108,7 @@ def test_determinism_identical_runs(tmp_path):
     cfg = SimConfig(
         dt_s=1e-3,
         duration_s=2.0,
-        reference=ReferenceSpec(0.0, 0.0),
+        reference_amplitude=0.0,
         disturbance=DisturbanceSpec("uniform_noise", 0.5, 0.0, 2.0),
         seed=77,
     )
@@ -124,7 +123,7 @@ def test_seed_changes_disturbed_trajectory():
     base = dict(
         dt_s=1e-3,
         duration_s=1.0,
-        reference=ReferenceSpec(0.0, 0.0),
+        reference_amplitude=0.0,
         disturbance=DisturbanceSpec("uniform_noise", 0.5, 0.0, 1.0),
     )
     t1 = run_closed_loop(P, _ZeroController(), SimConfig(seed=1, **base),
@@ -136,7 +135,7 @@ def test_seed_changes_disturbed_trajectory():
 
 def _disturbance_forces(spec, seed=1, duration_s=0.02):
     """The applied forces of a short run under a zero controller: the draws alone."""
-    cfg = SimConfig(dt_s=1e-3, duration_s=duration_s, reference=ReferenceSpec(0.0, 0.0),
+    cfg = SimConfig(dt_s=1e-3, duration_s=duration_s, reference_amplitude=0.0,
                     disturbance=spec, seed=seed)
     traj = run_closed_loop(P, _ZeroController(), cfg, initial_state=State(math.pi, 0, 0, 0))
     return traj.inputs_N[:-1]
@@ -204,7 +203,7 @@ def test_disturbance_bounds_and_mean():
 
 
 def test_fault_carries_partial_trajectory():
-    cfg = SimConfig(dt_s=1e-3, duration_s=1.0, reference=ReferenceSpec(0.0, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=1.0, reference_amplitude=0.0)
     with pytest.raises(SimulationFault) as exc:
         run_closed_loop(P, _NanController(), cfg)
     err = exc.value
@@ -226,7 +225,7 @@ def test_non_finite_initial_state_raises_before_the_controller_runs(bad):
             Spy.calls += 1
             return 0.0
 
-    cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference=ReferenceSpec(0.0, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference_amplitude=0.0)
     with pytest.raises(ValueError, match="initial state"):
         run_closed_loop(P, Spy(), cfg, initial_state=State(0.0, 0.0, bad, 0.0))
     assert Spy.calls == 0
@@ -242,7 +241,7 @@ def test_finite_overflowing_force_faults_at_its_step():
             Kick.k += 1
             return 1e300 if Kick.k == 6 else 0.0
 
-    cfg = SimConfig(dt_s=1e-3, duration_s=0.05, reference=ReferenceSpec(0.0, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.05, reference_amplitude=0.0)
     with pytest.raises(SimulationFault) as exc:
         run_closed_loop(P, Kick(), cfg, initial_state=State(0.1, 0.0, 0.0, 0.0))
     err = exc.value
@@ -267,7 +266,7 @@ def test_a_field_dividing_by_zero_faults_at_its_step(monkeypatch):
         def step(self, reference, state, dt_s):
             return next(forces)
 
-    cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference=ReferenceSpec(0.0, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference_amplitude=0.0)
     with pytest.raises(SimulationFault) as exc:
         run_closed_loop(P, Scripted(), cfg)
     assert exc.value.step_index == 2
@@ -292,7 +291,7 @@ def test_fault_names_the_first_non_finite_state_entry(monkeypatch, bad):
             def step(self, reference, state, dt_s):
                 return next(kick)
 
-        cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference=ReferenceSpec(0.0, 0.0))
+        cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference_amplitude=0.0)
         with pytest.raises(SimulationFault) as exc:
             run_closed_loop(P, Late(), cfg)
         assert (exc.value.step_index, exc.value.what) == (3, f"{name} non-finite")
@@ -301,7 +300,7 @@ def test_fault_names_the_first_non_finite_state_entry(monkeypatch, bad):
 
 def test_finite_state_whose_sum_overflows_does_not_fault():
     # theta + x overflows to inf, yet each value is finite: the run goes on
-    cfg = SimConfig(dt_s=1e-3, duration_s=0.003, reference=ReferenceSpec(0.0, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.003, reference_amplitude=0.0)
     traj = run_closed_loop(P, _ZeroController(), cfg,
                            initial_state=State(1.7e308, 0.0, 1.7e308, 0.0))
     assert traj.states.shape == (4, 4)
@@ -314,7 +313,7 @@ def test_negative_zero_force_is_written_as_zero(tmp_path):
         def step(self, reference, state, dt_s):
             return -0.0
 
-    cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference=ReferenceSpec(0.0, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.01, reference_amplitude=0.0)
     rows = _csv_text(run_closed_loop(P, NegativeZero(), cfg), tmp_path).splitlines()[1:]
     assert [row.split(",")[5] for row in rows] == ["0"] * 11
 
@@ -324,7 +323,7 @@ def test_force_limit_clamps_inputs():
         def step(self, reference, state, dt_s):
             return 1e4
 
-    cfg = SimConfig(dt_s=1e-3, duration_s=0.05, reference=ReferenceSpec(0.0, 0.0),
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.05, reference_amplitude=0.0,
                     force_limit_N=5.0)
     traj = run_closed_loop(P, Big(), cfg, initial_state=State(math.pi, 0, 0, 0))
     assert np.max(np.abs(traj.inputs_N)) <= 5.0
@@ -349,7 +348,8 @@ def test_config_validation():
 
 
 def test_trajectory_shape_and_times():
-    cfg = SimConfig(dt_s=1e-3, duration_s=0.25, reference=ReferenceSpec(1.0, 0.1))
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.25, reference_amplitude=1.0,
+                    reference_step_time_s=0.1)
     traj = run_closed_loop(P, _ZeroController(), cfg, initial_state=State(math.pi, 0, 0, 0))
     n = 250
     assert len(traj.times_s) == n + 1
@@ -363,7 +363,7 @@ def test_trajectory_shape_and_times():
 
 
 def test_csv_header_and_round_trip(tmp_path):
-    cfg = SimConfig(dt_s=1e-3, duration_s=0.05, reference=ReferenceSpec(0.3, 0.0),
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.05, reference_amplitude=0.3,
                     disturbance=DisturbanceSpec("uniform_noise", 0.5, 0.0, 0.05))
     traj = run_closed_loop(P, _ZeroController(), cfg, initial_state=State(math.pi, 0, 0, 0))
     assert _csv_text(traj, tmp_path).splitlines()[0] == "t,theta,theta_dot,x,x_dot,u,ref"
@@ -398,6 +398,8 @@ def _edge_trajectory():
     edges = [-0.0, 5e-324, 1e16, -1e-300]
     for i, row in enumerate((0, 4095, 4096, n - 1)):
         table[row] = np.roll(edges * 2, i)[:7]
+    # the parser takes only a rising time column; sorting keeps its values
+    table[:, 0].sort()
     return Trajectory(times_s=table[:, 0], states=table[:, 1:5], inputs_N=table[:, 5],
                       references=table[:, 6])
 
@@ -433,6 +435,16 @@ def test_malformed_csv_raises_value_error_without_warning(malformed_csv, tmp_pat
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             Trajectory.read_csv(path)
+
+
+@pytest.mark.parametrize("times, row", [
+    ("0.5 0.1 0.3", 2), ("0 0", 2), ("0 0.1 0.1", 3), ("0 0.1 0.2 -0.0", 4),
+])
+def test_read_csv_names_the_first_row_whose_time_does_not_increase(times, row, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(CSV_HEADER + "\n" + "".join(f"{t},0,0,1,0,0,1\n" for t in times.split()))
+    with pytest.raises(ValueError, match=f"^trajectory csv data row {row} has a time t "):
+        Trajectory.read_csv(path)
 
 
 def _columns(traj):
@@ -617,7 +629,7 @@ def test_lqr_step_tracking_smoke():
     from cartpend.classic import LqrWeights, lqr_synthesize
 
     ctrl = lqr_synthesize(linearize_at(P, 0.0), LqrWeights(), 2)
-    cfg = SimConfig(dt_s=1e-3, duration_s=10.0, reference=ReferenceSpec(0.3, 0.0))
+    cfg = SimConfig(dt_s=1e-3, duration_s=10.0, reference_amplitude=0.3)
     traj = run_closed_loop(P, ctrl, cfg)
     assert abs(traj.states[-1, 2] - 0.3) <= 0.05 * 0.3
 
