@@ -16,7 +16,8 @@ scenario's defaults keep theta_max modest instead of taking the top row.
 
 Rows that diverge or never settle are dropped; the rest are ranked by
 settling time of the cart position. ``swing`` is the peak |theta - theta(0)|.
-A ``--duration`` or ``--gamma`` the scenario rejects exits 2 with one error line.
+A ``--duration`` or ``--gamma`` the scenario rejects, or a ``--top`` below 1,
+exits 2 with one error line.
 """
 import argparse
 import dataclasses
@@ -63,6 +64,9 @@ def main():
     ap.add_argument("--gamma", type=float, help="default: the scenario's")
     ap.add_argument("--top", type=int, default=10)
     args = ap.parse_args()
+    if args.top < 1:
+        print(f"error: --top must be at least 1, got {args.top}", file=sys.stderr)
+        return 2
 
     name, grid = STUDIES[args.study]
     base = builtin_scenarios()[name]

@@ -7,11 +7,13 @@ The loop contract per step k:
 3. add the disturbance push, drawn before the loop in step order (one draw
    per step inside its time window; the generator is not advanced outside it),
 4. clamp to the force limit when one is set,
-5. log, then advance the plant one RK4 step.
+5. log, then advance the plant one RK4 step: one ``rk4_step`` call, which
+   runs the plant field's fused step.
 
 ``SimConfig`` holds one field per ``[sim]`` config key, plus the disturbance.
 The reference is a step: 0 before ``reference_step_time_s``,
-``reference_amplitude`` at and after.
+``reference_amplitude`` at and after. The step comes no later than the
+last controller step, at ``(step_count - 1) * dt_s``, so some step sees it.
 
 Everything is deterministic given the config, so a rerun reproduces the
 trajectory byte for byte.
@@ -110,6 +112,12 @@ class SimConfig:
             raise ValueError(
                 f"duration_s = {self.duration_s} is not an integer number of "
                 f"dt_s = {self.dt_s} steps")
+        # run_closed_loop asks the controller at t = k dt for k < step_count
+        last_step_s = (self.step_count - 1) * self.dt_s
+        if self.reference_step_time_s > last_step_s:
+            raise ValueError(f"reference_step_time_s must be at most {last_step_s!r}, the "
+                             f"time of the last controller step, got "
+                             f"{self.reference_step_time_s!r}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
         if self.force_limit_N is not None and not (
@@ -238,7 +246,14 @@ def rk4_step(f: Derivative, state: State, u: float, dt_s: float) -> State:
     Stages are evaluated at ``s + h k`` (h = dt/2) and ``s + dt k``; the
     result is ``s + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, summed left to right.
     The inner stages reach ``f`` as plain tuples; the result is a State.
+
+    A field that carries ``f.rk4(state, u, dt_s)``, as the plant field of
+    ``make_derivative`` does, is stepped by it: the same stages with the
+    field inline, bit for bit. Any other field takes the body below.
     """
+    fused = getattr(f, "rk4", None)
+    if fused is not None:
+        return _state(fused(state, u, dt_s))
     th, thd, x, xd = state
     h = 0.5 * dt_s
     a1, a2, a3, a4 = f(state, u)

@@ -269,6 +269,7 @@ def test_non_finite_gain_exits_2_and_other_runs_finish(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind, section, key, value", [
     ("lqr", "sim", "reference_amplitude", "nan"),
+    ("lqr", "sim", "reference_step_time_s", "1"),
     ("pid-position", "controller", "position_kp", "inf"),
     ("hybrid", "controller", "gamma", "-1"),
     ("hybrid", "controller", "gamma", "nan"),

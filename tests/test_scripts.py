@@ -34,7 +34,9 @@ def test_tune_hybrid_runs_and_names_every_grid_key(study):
 @pytest.mark.parametrize("args", [
     ["cart", "--gamma", "-1", "--duration", "0.01"],
     ["simultaneous", "--duration", "0.0105"],
-], ids=["negative-gamma", "fractional-steps"])
+    ["cart", "--top", "0", "--duration", "0.01"],
+    ["simultaneous", "--top", "-1", "--duration", "0.01"],
+], ids=["negative-gamma", "fractional-steps", "zero-top", "negative-top"])
 def test_tune_hybrid_rejects_bad_input_with_one_error_line(args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(SCRIPT), *args],

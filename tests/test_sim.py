@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import cartpend.sim
 from cartpend._g15 import _records, format_rows
@@ -347,6 +347,25 @@ def test_config_validation():
             DisturbanceSpec("uniform_noise", 0.5, *bounds)
 
 
+class _ReferenceLog:
+    def __init__(self):
+        self.seen = []
+
+    def step(self, reference, state, dt_s):
+        self.seen.append(reference)
+        return 0.0
+
+
+def test_the_reference_step_comes_no_later_than_the_last_controller_step():
+    ctrl = _ReferenceLog()
+    cfg = SimConfig(dt_s=1e-3, duration_s=1.0, reference_step_time_s=0.999)
+    run_closed_loop(P, ctrl, cfg, initial_state=State(math.pi, 0, 0, 0))
+    assert len(ctrl.seen) == 1000 and ctrl.seen[-2:] == [0.0, 0.3]
+    with pytest.raises(ValueError, match=r"^reference_step_time_s must be at most 0\.999, "
+                                         r"the time of the last controller step, got 1\.0$"):
+        SimConfig(dt_s=1e-3, duration_s=1.0, reference_step_time_s=1.0)
+
+
 def test_trajectory_shape_and_times():
     cfg = SimConfig(dt_s=1e-3, duration_s=0.25, reference_amplitude=1.0,
                     reference_step_time_s=0.1)
@@ -622,6 +641,47 @@ def test_rk4_step_matches_the_generator_form_bit_for_bit():
         s = rk4_step(f, s, u, 1e-3)
         oracle = _rk4_oracle(f, oracle, u, 1e-3)
         assert s == oracle
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _plant(masses_and_length, gravity):
+    try:
+        return PlantParams(*masses_and_length, gravity)
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(params=st.builds(_plant, st.tuples(*[st.floats(1e-6, 1e6)] * 3), st.floats(1e-3, 1e3)),
+       state=st.tuples(*[st.one_of(st.floats(-10.0, 10.0), _FLOATS)] * 4),
+       force=st.one_of(st.floats(-1e3, 1e3), _FLOATS), dt_s=st.floats(1e-6, 10.0))
+def test_the_fused_plant_step_is_the_generic_step_bit_for_bit(params, state, force, dt_s):
+    field = make_derivative(params)
+    outcomes = []
+    # the lambda carries no rk4, so rk4_step runs its generic body on the same field
+    for f in (field, lambda s, u: field(s, u)):
+        try:
+            outcomes.append(np.array(rk4_step(f, State(*state), force, dt_s)).tobytes())
+        except (ValueError, OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_run_closed_loop_makes_one_rk4_step_call_per_step_on_the_plant_field(monkeypatch):
+    fields = []
+    step = cartpend.sim.rk4_step
+
+    def counted(f, *args):
+        fields.append(f)
+        return step(f, *args)
+
+    monkeypatch.setattr(cartpend.sim, "rk4_step", counted)
+    cfg = SimConfig(dt_s=1e-3, duration_s=0.05, reference_amplitude=0.0)
+    run_closed_loop(P, _ZeroController(), cfg, initial_state=State(math.pi - 0.1, 0, 0, 0))
+    assert len(fields) == cfg.step_count == 50
+    assert all(hasattr(f, "rk4") for f in fields)
 
 
 def test_lqr_step_tracking_smoke():
