@@ -1,14 +1,15 @@
 """Declarative run descriptions in a small INI dialect.
 
 A scenario names a plant, a controller with its gains, a simulation window
-with a step reference, and one of three study conditions: ``nominal``,
-``disturbance`` (uniform random force noise at the input), or
-``parameter-variation`` (plant multipliers applied to the simulated cart
-while the controller keeps its nominal design). The ``[plant]`` and ``[sim]``
-keys are the fields of ``PlantParams`` and ``SimConfig``, and the text is
-written from those records. Text and dataclass forms round-trip exactly;
-every field has a default, so the shortest valid config is two lines naming
-a controller kind.
+with a step reference, and an input disturbance. Every key acts: plant
+multipliers scale the simulated cart and rod while the controller keeps its
+nominal design, and a ``[disturbance]`` section adds uniform random force
+noise unless its kind is ``none``. The study condition is derived from them,
+and a stated ``[scenario] condition`` must agree. The ``[plant]`` and
+``[sim]`` keys are the fields of ``PlantParams`` and ``SimConfig``, and the
+text is written from those records. Text and dataclass forms round-trip
+exactly; every field has a default, so the shortest valid config is two
+lines naming a controller kind.
 
 The built-in catalog covers two studies times three controller families
 times three conditions: swing the cart of a hanging pendulum to a 1 m step,
@@ -47,6 +48,7 @@ class ConfigError(ValueError):
 
 
 _CONDITIONS = ("nominal", "disturbance", "parameter-variation")
+_MULTIPLIERS = ("cart_mass_multiplier", "pendulum_length_multiplier")
 _SECTIONS = ("scenario", "plant", "controller", "sim", "disturbance")
 _OPERATING_POINTS = {"upright": 0.0, "hanging": math.pi}
 _Q_KEYS = ("q_theta", "q_theta_dot", "q_x", "q_x_dot")
@@ -92,13 +94,12 @@ _ADAPTATION_KEYS = {
 # key -> (value kind, default); kinds: float / int / str / floats / ints
 _SCENARIO_KEYS = {
     "name": ("str", "custom"),
-    "condition": ("str", "nominal"),
+    "condition": ("str", None),  # derived from the keys; a stated value is checked
     "initial_theta_rad": ("float", 0.0),
 }
 _PLANT_KEYS = {
     **{f.name: ("float", f.default) for f in fields(PlantParams)},
-    "cart_mass_multiplier": ("float", 1.0),
-    "pendulum_length_multiplier": ("float", 1.0),
+    **{key: ("float", 1.0) for key in _MULTIPLIERS},
 }
 _SIM_KEYS = {f.name: ("int" if f.name == "seed" else "float", f.default)
              for f in fields(SimConfig) if f.name != "disturbance"}
@@ -143,7 +144,6 @@ _CONTROLLER_SCHEMAS = {
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    condition: str
     plant: PlantParams
     controller_kind: str
     controller_config: dict
@@ -151,6 +151,17 @@ class Scenario:
     initial_theta_rad: float
     cart_mass_multiplier: float
     pendulum_length_multiplier: float
+
+    @property
+    def condition(self) -> str:
+        """The study condition the keys give: ``parameter-variation`` when a
+        multiplier is not 1, else ``disturbance`` when the disturbance kind is
+        not ``none``, else ``nominal``."""
+        if any(getattr(self, key) != 1.0 for key in _MULTIPLIERS):
+            return "parameter-variation"
+        if self.sim.disturbance.kind != "none":
+            return "disturbance"
+        return "nominal"
 
 
 @contextlib.contextmanager
@@ -223,9 +234,10 @@ def parse_scenario(text: str) -> Scenario:
     if not math.isfinite(meta["initial_theta_rad"]):
         raise ConfigError(f"[scenario] initial_theta_rad must be finite, "
                           f"got {meta['initial_theta_rad']!r}")
-    if meta["condition"] not in _CONDITIONS:
+    stated = meta.pop("condition")
+    if stated is not None and stated not in _CONDITIONS:
         raise ConfigError(f"[scenario] condition must be one of {_CONDITIONS}, "
-                          f"got {meta['condition']!r}")
+                          f"got {stated!r}")
 
     if not cp.has_section("controller") or not cp.has_option("controller", "kind"):
         raise ConfigError("[controller] kind is required")
@@ -241,8 +253,7 @@ def parse_scenario(text: str) -> Scenario:
                           f"'hanging', got {controller_config['operating_point']!r}")
 
     plant_vals = _read_section(cp, "plant", _PLANT_KEYS)
-    multipliers = {key: plant_vals.pop(key)
-                   for key in ("cart_mass_multiplier", "pendulum_length_multiplier")}
+    multipliers = {key: plant_vals.pop(key) for key in _MULTIPLIERS}
     for key, v in multipliers.items():
         if not (math.isfinite(v) and v > 0.0):
             raise ConfigError(f"[plant] {key} must be positive, got {v!r}")
@@ -251,7 +262,7 @@ def parse_scenario(text: str) -> Scenario:
 
     with _config_keys("sim"):
         sim = SimConfig(**_read_section(cp, "sim", _SIM_KEYS))
-    if cp.has_section("disturbance") or meta["condition"] == "disturbance":
+    if cp.has_section("disturbance"):
         dist_args = _read_section(cp, "disturbance", _DISTURBANCE_KEYS)
         if dist_args["end_s"] is None:
             dist_args["end_s"] = sim.duration_s
@@ -260,6 +271,16 @@ def parse_scenario(text: str) -> Scenario:
 
     scenario = Scenario(**meta, **multipliers, plant=plant, controller_kind=kind,
                         controller_config=controller_config, sim=sim)
+    if stated is not None and stated != scenario.condition:
+        scaled = [key for key in _MULTIPLIERS if multipliers[key] != 1.0]
+        if scaled:
+            deciding = f"[plant] {scaled[0]} = {multipliers[scaled[0]]!r}"
+        elif stated == "parameter-variation":
+            deciding = f"[plant] {' and '.join(_MULTIPLIERS)} are 1.0"
+        else:
+            deciding = f"[disturbance] kind = {sim.disturbance.kind}"
+        raise ConfigError(f"[scenario] condition = {stated} disagrees with the keys, which "
+                          f"give {scenario.condition}: {deciding}")
     try:
         effective_plant(scenario)
     except ValueError as exc:
@@ -290,8 +311,10 @@ def serialize_scenario(s: Scenario) -> str:
     ``force_limit_N`` is left out. Keys missing from ``controller_config``
     are written with their schema defaults.
     """
-    # each schema key names a field of its section's record; the multipliers are Scenario's
-    values = {"scenario": vars(s), "plant": {**vars(s), **vars(s.plant)},
+    # each schema key names a field of its section's record; the multipliers are
+    # Scenario's, and the condition is its derived label
+    values = {"scenario": {**vars(s), "condition": s.condition},
+              "plant": {**vars(s), **vars(s.plant)},
               "controller": s.controller_config, "sim": vars(s.sim),
               "disturbance": vars(s.sim.disturbance)}
     # the kind is the default of the schema's first key, as in parse_scenario
@@ -311,9 +334,7 @@ def serialize_scenario(s: Scenario) -> str:
 
 
 def effective_plant(s: Scenario) -> PlantParams:
-    """The simulated plant: multipliers apply only under parameter variation."""
-    if s.condition != "parameter-variation":
-        return s.plant
+    """The simulated plant: the nominal plant with the multipliers applied."""
     return replace(s.plant,
                    cart_mass_kg=s.plant.cart_mass_kg * s.cart_mass_multiplier,
                    pendulum_length_m=s.plant.pendulum_length_m * s.pendulum_length_multiplier)
@@ -432,6 +453,8 @@ def _catalog_text():
             lines += ["", "[sim]", "reference_amplitude = 1.0"]
             if family == "pid" and condition == "parameter-variation":
                 lines.append("duration_s = 120.0")
+            if condition == "disturbance":
+                lines += ["", "[disturbance]"]
             if condition == "parameter-variation":
                 lines += ["", "[plant]", "cart_mass_multiplier = 1.2"]
             texts[name] = "\n".join(lines) + "\n"
@@ -439,6 +462,8 @@ def _catalog_text():
             name = f"simultaneous-{family}-{condition}"
             lines = ["[scenario]", f"name = {name}", f"condition = {condition}", "",
                      "[controller]", f"kind = {sim_kind[family]}"]
+            if condition == "disturbance":
+                lines += ["", "[disturbance]"]
             if condition == "parameter-variation":
                 lines += ["", "[plant]", "cart_mass_multiplier = 1.15",
                           "pendulum_length_multiplier = 1.05"]

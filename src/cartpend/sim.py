@@ -5,7 +5,8 @@ The loop contract per step k:
 1. read the reference r_k,
 2. ask the controller for a force,
 3. add the disturbance push, drawn before the loop in step order (one draw
-   per step inside its time window; the generator is not advanced outside it),
+   per step inside its time window; the generator is not advanced outside it;
+   a window that holds no step time is refused),
 4. clamp to the force limit when one is set,
 5. log, then advance the plant one RK4 step: one ``rk4_step`` call, which
    runs the plant field's fused step.
@@ -20,6 +21,7 @@ trajectory byte for byte.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -81,6 +83,13 @@ class DisturbanceSpec:
             raise ValueError(f"end_s must be >= start_s, got an empty window "
                              f"[{self.start_s}, {self.end_s}]")
 
+    def steps(self, n: int, dt_s: float) -> range:
+        """The k < n whose step time k * dt_s lies in the window, by binary search."""
+        def step_time(k):
+            return k * dt_s
+        return range(bisect.bisect_left(range(n), self.start_s, key=step_time),
+                     bisect.bisect_right(range(n), self.end_s, key=step_time))
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -123,6 +132,11 @@ class SimConfig:
         if self.force_limit_N is not None and not (
                 math.isfinite(self.force_limit_N) and self.force_limit_N > 0.0):
             raise ValueError(f"force_limit_N must be positive, got {self.force_limit_N!r}")
+        d = self.disturbance
+        if d.kind != "none" and not d.steps(self.step_count, self.dt_s):
+            raise ValueError(f"start_s = {d.start_s!r} and end_s = {d.end_s!r} hold no "
+                             f"controller step time k * dt_s, k < {self.step_count}; the "
+                             f"last is {last_step_s!r}")
 
     @property
     def step_count(self) -> int:
@@ -293,9 +307,7 @@ def run_closed_loop(params: PlantParams, controller, config: SimConfig,
         # the window [start_s, end_s] is one contiguous run of steps
         pushes = array("d", [0.0]) * n
         rng = SplitMix64(config.seed)
-        first = np.searchsorted(times[:n], disturbance.start_s, "left")
-        stop = np.searchsorted(times[:n], disturbance.end_s, "right")
-        for k in range(first, stop):
+        for k in disturbance.steps(n, dt):
             pushes[k] = disturbance.amplitude_N * (2.0 * rng.uniform() - 1.0)
     f = make_derivative(params)
     control = controller.step

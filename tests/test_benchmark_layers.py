@@ -52,7 +52,8 @@ def test_every_live_layer_is_observed(installed, tmp_path, capsys):
     for kind in tracer.CONTROLLER_KINDS:
         path = tmp_path / f"{kind}.ini"
         path.write_text(f"[scenario]\nname = {kind}\ncondition = disturbance\n\n"
-                        f"[controller]\nkind = {kind}\n\n[sim]\nduration_s = 0.05\n")
+                        f"[controller]\nkind = {kind}\n\n[sim]\nduration_s = 0.05\n\n"
+                        "[disturbance]\n")
         configs.append(str(path))
     assert main(["run", *configs, "--out", str(tmp_path / "out")]) == 0
     assert main(["analyze", str(tmp_path / "out" / "lqr.csv")]) == 0

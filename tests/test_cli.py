@@ -320,8 +320,9 @@ def test_non_finite_fuzzy_shape_exits_2(tmp_path, capsys, key, values):
     assert "diverged" not in err and not (out / "shape.csv").exists()
 
 
+# a run of 5 s steps last at 4.999 s, so a window from 5 s holds no step
 @pytest.mark.parametrize("key,value", [("amplitude_N", "-1"), ("start_s", "nan"),
-                                       ("end_s", "nan")])
+                                       ("end_s", "nan"), ("start_s", "5")])
 def test_bad_disturbance_bound_exits_2_naming_its_section(tmp_path, capsys, key, value):
     cfg = _write(tmp_path, "a.ini", SHORT_LQR + f"\n[disturbance]\n{key} = {value}\n")
     out = tmp_path / "out"
@@ -329,6 +330,21 @@ def test_bad_disturbance_bound_exits_2_naming_its_section(tmp_path, capsys, key,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: [disturbance] {key} ")
     assert not (out / "quick-lqr.csv").exists()
+
+
+@pytest.mark.parametrize("stated, keys", [
+    ("nominal", "[plant]\ncart_mass_multiplier = 3\n\n[disturbance]\namplitude_N = 2\n"),
+    ("disturbance", ""),
+], ids=["nominal-multiplier-noise", "disturbance-no-section"])
+def test_a_stated_condition_the_keys_contradict_exits_2(tmp_path, capsys, stated, keys):
+    text = SHORT_LQR.replace("\n\n", f"\ncondition = {stated}\n\n", 1) + f"\n{keys}"
+    cfg = _write(tmp_path, "a.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        f"error: {cfg}: [scenario] condition = {stated} disagrees with the keys"), lines
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, plant, key", [

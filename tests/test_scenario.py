@@ -122,12 +122,48 @@ def test_condition_validation():
 
 
 def test_multipliers_only_bite_under_parameter_variation():
-    text = (
-        "[scenario]\ncondition = nominal\n\n[controller]\nkind = lqr\n\n"
-        "[plant]\ncart_mass_multiplier = 1.2\n"
-    )
-    s = parse_scenario(text)
-    assert effective_plant(s).cart_mass_kg == 1.2
+    # a multiplier other than 1 makes the condition parameter-variation; one of 1
+    # leaves the plant bit for bit
+    s = parse_scenario(MINIMAL + "\n[plant]\ncart_mass_multiplier = 1.2\n")
+    assert s.condition == "parameter-variation"
+    assert effective_plant(s).cart_mass_kg == 1.2 * 1.2
+    nominal = parse_scenario(MINIMAL)
+    assert nominal.condition == "nominal" and effective_plant(nominal) == nominal.plant
+
+
+@pytest.mark.parametrize("stated, keys, deciding", [
+    ("nominal", "[plant]\ncart_mass_multiplier = 3\n",
+     "parameter-variation: [plant] cart_mass_multiplier = 3.0"),
+    ("nominal", "[plant]\npendulum_length_multiplier = 0.5\n",
+     "parameter-variation: [plant] pendulum_length_multiplier = 0.5"),
+    ("nominal", "[disturbance]\namplitude_N = 2\n",
+     "disturbance: [disturbance] kind = uniform_noise"),
+    ("disturbance", "[disturbance]\nkind = none\n", "nominal: [disturbance] kind = none"),
+    ("disturbance", "", "nominal: [disturbance] kind = none"),
+    ("disturbance", "[plant]\ncart_mass_multiplier = 3\n\n[disturbance]\n",
+     "parameter-variation: [plant] cart_mass_multiplier = 3.0"),
+    ("parameter-variation", "", "nominal: [plant] cart_mass_multiplier and "
+                                "pendulum_length_multiplier are 1.0"),
+    ("parameter-variation", "[disturbance]\n", "disturbance: [plant] cart_mass_multiplier "
+                                               "and pendulum_length_multiplier are 1.0"),
+], ids=["nominal-cart-multiplier", "nominal-length-multiplier", "nominal-noise",
+        "disturbance-kind-none", "disturbance-no-section", "disturbance-multiplier",
+        "variation-no-multiplier", "variation-noise-only"])
+def test_a_stated_condition_the_keys_contradict_is_refused(stated, keys, deciding):
+    with pytest.raises(ConfigError) as e:
+        parse_scenario(f"[scenario]\ncondition = {stated}\n\n{MINIMAL}\n{keys}")
+    assert str(e.value) == (f"[scenario] condition = {stated} disagrees with the keys, "
+                            f"which give {deciding}")
+
+
+def test_an_unstated_condition_with_a_multiplier_runs_the_scaled_plant():
+    s = parse_scenario(MINIMAL + "\n[plant]\ncart_mass_multiplier = 3\n\n[sim]\nduration_s = 1\n")
+    assert s.condition == "parameter-variation"
+    scaled = run_closed_loop(PlantParams(cart_mass_kg=1.2 * 3.0), build_controller(s), s.sim)
+    nominal = run_closed_loop(s.plant, build_controller(s), s.sim)
+    states = run_scenario(s).states
+    assert np.array_equal(states, scaled.states)
+    assert not np.array_equal(states, nominal.states)
 
 
 def test_multiplier_value_under_parameter_variation():
@@ -150,7 +186,11 @@ def test_simultaneous_variation_case():
 
 
 def test_disturbance_condition_gets_default_noise():
-    s = parse_scenario("[scenario]\ncondition = disturbance\n\n[controller]\nkind = lqr\n")
+    # a bare [disturbance] section is 0.5 N of uniform noise over the whole run
+    s = parse_scenario("[scenario]\ncondition = disturbance\n\n[controller]\nkind = lqr\n"
+                       "\n[disturbance]\n")
+    assert s == parse_scenario(MINIMAL + "\n[disturbance]\n")
+    assert s.condition == "disturbance"
     assert s.sim.disturbance.kind == "uniform_noise"
     assert s.sim.disturbance.amplitude_N == 0.5
     assert s.sim.disturbance.end_s == s.sim.duration_s
@@ -161,11 +201,11 @@ def test_round_trip_identity_minimal():
     assert parse_scenario(serialize_scenario(s)) == s
 
 
-@pytest.mark.parametrize("condition", ["nominal", "disturbance"])
-def test_round_trip_keeps_an_explicit_none_disturbance(condition):
-    s = parse_scenario(f"[scenario]\ncondition = {condition}\n\n{MINIMAL}"
-                       "\n[disturbance]\nkind = none\n")
-    assert s.sim.disturbance.kind == "none"
+@pytest.mark.parametrize("stated", ["[scenario]\ncondition = nominal\n\n", ""],
+                         ids=["nominal", "unstated"])
+def test_round_trip_keeps_an_explicit_none_disturbance(stated):
+    s = parse_scenario(f"{stated}{MINIMAL}\n[disturbance]\nkind = none\n")
+    assert s.sim.disturbance.kind == "none" and s.condition == "nominal"
     assert parse_scenario(serialize_scenario(s)) == s
 
 
@@ -173,6 +213,15 @@ def test_round_trip_identity_builtins():
     for name, s in builtin_scenarios().items():
         back = parse_scenario(serialize_scenario(s))
         assert back == s, name
+
+
+def test_each_builtin_derives_the_condition_its_catalog_states():
+    for name, text in scenario._catalog_text().items():
+        stated = re.search(r"^condition = (.*)$", text, re.M).group(1)
+        assert name.endswith("-" + stated)
+        assert parse_scenario(text).condition == stated, name
+        unstated = parse_scenario(text.replace(f"condition = {stated}\n", ""))
+        assert unstated == parse_scenario(text), name
 
 
 def test_builtin_catalog_shape():

@@ -162,10 +162,10 @@ def test_disturbance_outside_window_preserves_rng_state():
 
 @pytest.mark.parametrize("spec, draws", [
     (DisturbanceSpec("uniform_noise", 1.0, 0.005, 0.010), 6),
-    (DisturbanceSpec("uniform_noise", 1.0, 0.5, 1.0), 0),
+    (DisturbanceSpec("uniform_noise", 1.0, 19 * 1e-3, 1.0), 1),
     (DisturbanceSpec("uniform_noise", 1.0, 0.012, math.inf), 8),
     (DisturbanceSpec("none", 1.0, 0.0, 1.0), 0),
-], ids=["inside-the-run", "after-the-run", "open-end", "kind-none"])
+], ids=["inside-the-run", "last-step-only", "open-end", "kind-none"])
 def test_disturbance_draws_once_per_step_inside_its_window(monkeypatch, spec, draws):
     import cartpend.sim
 
@@ -180,6 +180,37 @@ def test_disturbance_draws_once_per_step_inside_its_window(monkeypatch, spec, dr
     _disturbance_forces(spec)  # 20 steps, t = k * 1 ms
     in_window = sum(spec.start_s <= k * 1e-3 <= spec.end_s for k in range(20))
     assert len(calls) == draws == (in_window if spec.kind != "none" else 0)
+
+
+@pytest.mark.parametrize("start, end", [(20 * 1e-3, 1.0), (-1.0, -1e-3)],
+                         ids=["after-the-run", "before-the-run"])
+def test_a_disturbance_window_that_holds_no_step_is_refused(start, end):
+    # 20 steps of 1 ms end at t = 19 * dt, which the last-step-only window above holds
+    with pytest.raises(ValueError, match=rf"^start_s = {start!r} and end_s = {end!r} hold "
+                                         rf"no controller step time k \* dt_s, k < 20; "
+                                         rf"the last is 0\.019$"):
+        SimConfig(dt_s=1e-3, duration_s=0.02,
+                  disturbance=DisturbanceSpec("uniform_noise", 1.0, start, end))
+    # a kind of none never acts, so its window is not checked
+    SimConfig(dt_s=1e-3, duration_s=0.02, disturbance=DisturbanceSpec("none", 1.0, start, end))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=st.integers(1, 2000), dt_s=st.floats(1e-6, 10.0),
+       bounds=st.lists(st.floats(-50.0, 50.0) | st.sampled_from([-math.inf, math.inf]),
+                       min_size=2, max_size=2).map(sorted),
+       on_step=st.integers(0, 2000))
+def test_window_steps_are_searchsorted_on_the_step_times(n, dt_s, bounds, on_step):
+    # a bound is often exactly a step time, where "left" and "right" differ
+    start, end = bounds
+    if on_step % 3 == 0:
+        start = min(on_step, n) * dt_s
+        end = max(start, end)
+    elif on_step % 3 == 1:
+        end = max(start, min(on_step, n) * dt_s)
+    times = np.arange(n) * dt_s
+    expected = range(np.searchsorted(times, start, "left"), np.searchsorted(times, end, "right"))
+    assert DisturbanceSpec("uniform_noise", 1.0, start, end).steps(n, dt_s) == expected
 
 
 def test_disturbance_bounds_and_mean():
