@@ -28,7 +28,8 @@ from cartpend.metrics import score_trajectory
 from cartpend.scenario import builtin_scenarios, run_scenario
 from cartpend.sim import SimulationFault
 
-# study -> (built-in scenario, controller key -> grid values)
+# study -> (built-in scenario, [controller] key -> grid values); each key is a
+# field of the scenario's controller record, so dataclasses.replace checks it
 STUDIES = {
     "cart": ("cart-position-hybrid-nominal", {
         "channel_kp": (1.0, 1.5, 2.0),
@@ -49,7 +50,7 @@ STUDIES = {
 def evaluate(base, setting, gamma, duration_s):
     """Metrics and peak swing of ``base`` with the controller keys in ``setting``."""
     s = dataclasses.replace(
-        base, controller_config=dict(base.controller_config, **setting, gamma=gamma),
+        base, controller=dataclasses.replace(base.controller, **setting, gamma=gamma),
         sim=dataclasses.replace(base.sim, duration_s=duration_s))
     traj = run_scenario(s)
     m = score_trajectory(traj)
@@ -71,7 +72,7 @@ def main():
     name, grid = STUDIES[args.study]
     base = builtin_scenarios()[name]
     duration = base.sim.duration_s if args.duration is None else args.duration
-    gamma = base.controller_config["gamma"] if args.gamma is None else args.gamma
+    gamma = base.controller.gamma if args.gamma is None else args.gamma
     rows = []
     try:
         for values in itertools.product(*grid.values()):

@@ -53,7 +53,6 @@ from .scenario import (
     build_controller,
     builtin_scenarios,
     effective_plant,
-    lqr_design,
     parse_scenario,
     run_scenario,
     serialize_scenario,

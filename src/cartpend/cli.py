@@ -173,7 +173,7 @@ def _cmd_lqr_gain(args) -> int:
     except ConfigError as exc:
         print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 2
-    print(f"operating point: {s.controller_config['operating_point']}")
+    print(f"operating point: {s.controller.operating_point}")
     print("K =", np.array2string(ctrl.k_gain, precision=6, suppress_small=True))
     print(f"N = {ctrl.n_scale:.6f}")
     print("P =")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .metrics import score_trajectory
-from .scenario import builtin_scenarios, lqr_design, run_scenario
+from .scenario import build_controller, builtin_scenarios, run_scenario
 
 PUBLISHED_GAIN = (2.0960, -1.2221, 12.3828, 12.7813)
 
@@ -78,7 +78,7 @@ def run_comparison(progress=None) -> str:
              if math.isfinite(hyb) and math.isfinite(pid) and pid > 0.0 else math.inf)
     rows.append(("cart step: hybrid/pid settling ratio [%]", 54.0, ratio))
     # the cart study's LQR: hanging, default weights
-    gain = lqr_design(catalog["cart-position-lqr-nominal"]).k_gain
+    gain = build_controller(catalog["cart-position-lqr-nominal"]).k_gain
 
     width = max(len(label) for label, _, _ in rows) + 2
     out = [f"{'quantity':<{width}}{'published':>14}{'this run':>14}"]

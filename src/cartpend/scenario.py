@@ -4,10 +4,11 @@ A scenario names a plant, a controller with its gains, a simulation window
 with a step reference, and an input disturbance. Every key acts: plant
 multipliers scale the simulated cart and rod while the controller keeps its
 nominal design, and a ``[disturbance]`` section adds uniform random force
-noise unless its kind is ``none``. The study condition is derived from them,
-and a stated ``[scenario] condition`` must agree. The ``[plant]`` and
-``[sim]`` keys are the fields of ``PlantParams`` and ``SimConfig``, and the
-text is written from those records. Text and dataclass forms round-trip
+noise unless its kind is ``none`` or its amplitude 0. The study condition is
+derived from them, and a stated ``[scenario] condition`` must agree. The
+``[plant]``, ``[controller]`` and ``[sim]`` keys are the fields of
+``PlantParams``, of the controller kind's record and of ``SimConfig``, and
+the text is written from those records. Text and dataclass forms round-trip
 exactly; every field has a default, so the shortest valid config is two
 lines naming a controller kind.
 
@@ -22,7 +23,7 @@ import contextlib
 import inspect
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -52,6 +53,7 @@ _MULTIPLIERS = ("cart_mass_multiplier", "pendulum_length_multiplier")
 _SECTIONS = ("scenario", "plant", "controller", "sim", "disturbance")
 _OPERATING_POINTS = {"upright": 0.0, "hanging": math.pi}
 _Q_KEYS = ("q_theta", "q_theta_dot", "q_x", "q_x_dot")
+_SHAPE_KEYS = ("input1_peaks", "input2_peaks", "output_centers")
 # a run writes <name>.csv next to report.csv and report.txt
 _NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
@@ -78,9 +80,7 @@ def _channel_keys(prefix: str, channel: PidGains, crisp: PidGains,
 
 # Defaults are read from the library objects a bare config builds: dataclass
 # fields and the signatures of the PID topologies and of HybridChannel. Only
-# the tuned hybrid gains are written here.
-_CASCADE = _defaults(pid_position_topology)
-_SIMULTANEOUS = _defaults(pid_simultaneous_topology)
+# the tuned hybrid gains are written, in the _CONTROLLERS records.
 _CHANNEL = _defaults(HybridChannel)
 _FILTER_KEY = {"filter_tau_s": ("float", PidGains.filter_tau_s)}
 _ADAPTATION_KEYS = {
@@ -110,56 +110,29 @@ _DISTURBANCE_KEYS = {
     "end_s": ("float", None),  # None resolves to the run duration
 }
 
-_CONTROLLER_SCHEMAS = {
-    "lqr": {
-        **{key: ("float", float(q)) for key, q in zip(_Q_KEYS, np.diag(LqrWeights().q))},
-        "r": ("float", LqrWeights.r),
-        "operating_point": ("str", "upright"),
-    },
-    "pid-position": {
-        **_gain_keys(position=_CASCADE["position_gains"],
-                     velocity=_CASCADE["velocity_gains"]),
-        **_FILTER_KEY,
-    },
-    "pid-simultaneous": {
-        **_gain_keys(angle=_SIMULTANEOUS["angle_gains"],
-                     position=_SIMULTANEOUS["position_gains"]),
-        **_FILTER_KEY,
-    },
-    "hybrid": {
-        **_channel_keys("", PidGains(1.5, 0.0, 1.4), PidGains(1.2, 0.0, 0.3), 12.0),
-        **_ADAPTATION_KEYS,
-        **{name: ("floats", getattr(FuzzySystem, name))
-           for name in ("input1_peaks", "input2_peaks", "output_centers")},
-        **{f"rule_row{i}": ("ints", row) for i, row in enumerate(FuzzySystem.rule_table)},
-    },
-    "hybrid-simultaneous": {
-        **_channel_keys("angle_", PidGains(5.0, 0.0, 1.0), PidGains(40.0, 0.0, 4.0), 8.0),
-        **_channel_keys("position_", PidGains(3.5, 0.0, 3.0), PidGains(1.5, 0.0, 3.0), 6.0),
-        **_ADAPTATION_KEYS,
-    },
-}
-
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
     plant: PlantParams
-    controller_kind: str
-    controller_config: dict
+    controller: object  # a record of _CONTROLLERS: the [controller] keys of its kind
     sim: SimConfig
     initial_theta_rad: float
     cart_mass_multiplier: float
     pendulum_length_multiplier: float
 
     @property
+    def controller_kind(self) -> str:
+        return self.controller.kind
+
+    @property
     def condition(self) -> str:
         """The study condition the keys give: ``parameter-variation`` when a
         multiplier is not 1, else ``disturbance`` when the disturbance kind is
-        not ``none``, else ``nominal``."""
+        not ``none`` and its amplitude is positive, else ``nominal``."""
         if any(getattr(self, key) != 1.0 for key in _MULTIPLIERS):
             return "parameter-variation"
-        if self.sim.disturbance.kind != "none":
+        if self.sim.disturbance.kind != "none" and self.sim.disturbance.amplitude_N > 0.0:
             return "disturbance"
         return "nominal"
 
@@ -242,15 +215,12 @@ def parse_scenario(text: str) -> Scenario:
     if not cp.has_section("controller") or not cp.has_option("controller", "kind"):
         raise ConfigError("[controller] kind is required")
     kind = cp.get("controller", "kind").strip()
-    if kind not in _CONTROLLER_SCHEMAS:
+    if kind not in _CONTROLLERS:
         raise ConfigError(f"[controller] kind: unknown kind {kind!r}; "
-                          f"valid kinds: {', '.join(sorted(_CONTROLLER_SCHEMAS))}")
-    controller_config = _read_section(cp, "controller",
-                                      {"kind": ("str", kind), **_CONTROLLER_SCHEMAS[kind]})
-    del controller_config["kind"]
-    if kind == "lqr" and controller_config["operating_point"] not in _OPERATING_POINTS:
-        raise ConfigError(f"[controller] operating_point must be 'upright' or "
-                          f"'hanging', got {controller_config['operating_point']!r}")
+                          f"valid kinds: {', '.join(sorted(_CONTROLLERS))}")
+    keys = _read_section(cp, "controller", {"kind": ("str", kind), **_schema(_CONTROLLERS[kind])})
+    del keys["kind"]
+    controller = _CONTROLLERS[kind](**keys)
 
     plant_vals = _read_section(cp, "plant", _PLANT_KEYS)
     multipliers = {key: plant_vals.pop(key) for key in _MULTIPLIERS}
@@ -269,16 +239,17 @@ def parse_scenario(text: str) -> Scenario:
         with _config_keys("disturbance"):
             sim = replace(sim, disturbance=DisturbanceSpec(**dist_args))
 
-    scenario = Scenario(**meta, **multipliers, plant=plant, controller_kind=kind,
-                        controller_config=controller_config, sim=sim)
+    scenario = Scenario(**meta, **multipliers, plant=plant, controller=controller, sim=sim)
     if stated is not None and stated != scenario.condition:
         scaled = [key for key in _MULTIPLIERS if multipliers[key] != 1.0]
         if scaled:
             deciding = f"[plant] {scaled[0]} = {multipliers[scaled[0]]!r}"
         elif stated == "parameter-variation":
             deciding = f"[plant] {' and '.join(_MULTIPLIERS)} are 1.0"
-        else:
+        elif scenario.condition == "disturbance" or sim.disturbance.kind == "none":
             deciding = f"[disturbance] kind = {sim.disturbance.kind}"
+        else:
+            deciding = f"[disturbance] amplitude_N = {sim.disturbance.amplitude_N!r}"
         raise ConfigError(f"[scenario] condition = {stated} disagrees with the keys, which "
                           f"give {scenario.condition}: {deciding}")
     try:
@@ -308,25 +279,22 @@ def serialize_scenario(s: Scenario) -> str:
     """Config text that parses back to an equal Scenario.
 
     Every section is written with every key of its schema; only an unset
-    ``force_limit_N`` is left out. Keys missing from ``controller_config``
-    are written with their schema defaults.
+    ``force_limit_N`` is left out.
     """
     # each schema key names a field of its section's record; the multipliers are
     # Scenario's, and the condition is its derived label
     values = {"scenario": {**vars(s), "condition": s.condition},
               "plant": {**vars(s), **vars(s.plant)},
-              "controller": s.controller_config, "sim": vars(s.sim),
-              "disturbance": vars(s.sim.disturbance)}
-    # the kind is the default of the schema's first key, as in parse_scenario
+              "controller": {"kind": s.controller.kind, **vars(s.controller)},
+              "sim": vars(s.sim), "disturbance": vars(s.sim.disturbance)}
     schemas = {"scenario": _SCENARIO_KEYS, "plant": _PLANT_KEYS,
-               "controller": {"kind": ("str", s.controller_kind),
-                              **_CONTROLLER_SCHEMAS[s.controller_kind]},
+               "controller": {"kind": ("str", None), **_schema(s.controller)},
                "sim": _SIM_KEYS, "disturbance": _DISTURBANCE_KEYS}
     lines = []
     for section in _SECTIONS:
         lines.append(f"[{section}]")
-        for key, (kind, default) in schemas[section].items():
-            value = values[section].get(key, default)
+        for key, (kind, _) in schemas[section].items():
+            value = values[section][key]
             if value is not None:
                 lines.append(f"{key} = {_format_value(kind, value)}")
         lines.append("")
@@ -340,68 +308,114 @@ def effective_plant(s: Scenario) -> PlantParams:
                    pendulum_length_m=s.plant.pendulum_length_m * s.pendulum_length_multiplier)
 
 
-def _gains(cc: dict, loop: str) -> PidGains:
-    with _config_keys("controller", kp=loop + "_kp", ki=loop + "_ki", kd=loop + "_kd"):
-        return PidGains(cc[loop + "_kp"], cc[loop + "_ki"], cc[loop + "_kd"],
-                        cc["filter_tau_s"])
+def _gains(c, loop: str) -> PidGains:
+    keys = {part: f"{loop}_{part}" for part in ("kp", "ki", "kd")}
+    with _config_keys("controller", **keys):
+        return PidGains(**{part: getattr(c, key) for part, key in keys.items()},
+                        filter_tau_s=c.filter_tau_s)
 
 
-def _build_channel(cc: dict, prefix: str = "") -> HybridChannel:
-    # hybrid-simultaneous configs have no fuzzy shape keys: the FuzzySystem defaults
+def _channel(c, prefix: str, gamma: float) -> HybridChannel:
+    """The hybrid channel of the keys starting with ``prefix``, adapting at ``gamma``."""
+    # hybrid-simultaneous records have no fuzzy shape keys: the FuzzySystem defaults
     rules = FuzzySystem.rule_table
     scales = {name: prefix + name for name in ("input1_scale", "input2_scale", "output_scale")}
     rows = {f"rule_table[{i}]": f"rule_row{i}" for i in range(len(rules))}
     with _config_keys("controller", **scales, **rows):
         system = FuzzySystem(
-            input1_peaks=cc.get("input1_peaks", FuzzySystem.input1_peaks),
-            input2_peaks=cc.get("input2_peaks", FuzzySystem.input2_peaks),
-            output_centers=cc.get("output_centers", FuzzySystem.output_centers),
-            rule_table=tuple(cc.get(f"rule_row{i}", row) for i, row in enumerate(rules)),
-            **{name: cc[key] for name, key in scales.items()})
-    return HybridChannel(
-        channel_gains=_gains(cc, prefix + "channel"),
-        crisp_gains=_gains(cc, prefix + "crisp"),
-        fuzzy_system=system,
-        gamma=cc["gamma"],
-        safety_bound=cc["safety_bound"],
-        natural_frequency_rads=cc["natural_frequency_rads"],
-        damping_ratio=cc["damping_ratio"])
+            **{name: getattr(c, name) for name in _SHAPE_KEYS if hasattr(c, name)},
+            rule_table=tuple(getattr(c, f"rule_row{i}", row) for i, row in enumerate(rules)),
+            **{name: getattr(c, key) for name, key in scales.items()})
+        return HybridChannel(_gains(c, prefix + "channel"), _gains(c, prefix + "crisp"), system,
+                             gamma=gamma, safety_bound=c.safety_bound,
+                             natural_frequency_rads=c.natural_frequency_rads,
+                             damping_ratio=c.damping_ratio)
 
 
-def lqr_design(s: Scenario) -> LqrController:
-    """Synthesize the gain of an ``lqr`` scenario on its nominal plant.
-
-    The weights come from the config, the plant is linearized at the
-    configured operating point, and the returned controller measures the
-    state about that point and carries the Riccati solution its gain came from.
-    """
-    cc = s.controller_config
+def _lqr(c, plant: PlantParams) -> LqrController:
+    """The LQR designed on ``plant`` linearized at the operating point; it
+    measures the state about that point and carries its Riccati solution."""
+    q = {key: getattr(c, key) for key in _Q_KEYS}
     # a q error is about the first non-finite weight, else the smallest one
-    worst = next((key for key in _Q_KEYS if not math.isfinite(cc[key])),
-                 min(_Q_KEYS, key=cc.get))
-    point = cc["operating_point"]
-    theta_e = _OPERATING_POINTS[point]
+    worst = next((key for key, v in q.items() if not math.isfinite(v)), min(q, key=q.get))
+    theta_e = _OPERATING_POINTS[c.operating_point]
     with _config_keys("controller", q=worst):
-        weights = LqrWeights(q=np.diag([cc[key] for key in _Q_KEYS]), r=cc["r"])
+        weights = LqrWeights(q=np.diag(list(q.values())), r=c.r)
         # a plant whose coefficients overflow, or whose m_cart * l underflows to
         # zero, has no linear model to design on
         try:
-            linear = linearize_at(s.plant, theta_e)
+            linear = linearize_at(plant, theta_e)
             finite = np.isfinite(linear.a).all() and np.isfinite(linear.b).all()
         except ZeroDivisionError:
             finite = False
         if not finite:
-            named = ", ".join(f"{f.name} = {getattr(s.plant, f.name)!r}"
+            named = ", ".join(f"{f.name} = {getattr(plant, f.name)!r}"
                               for f in fields(PlantParams))
-            raise ConfigError(f"[plant] no finite linear model about the {point} point "
-                              f"for {named}")
+            raise ConfigError(f"[plant] no finite linear model about the "
+                              f"{c.operating_point} point for {named}")
         try:
             return lqr_synthesize(linear, weights, tracked_output_index=2,
                                   equilibrium=State(theta_e, 0.0, 0.0, 0.0))
         except ConvergenceError as exc:
-            named = ", ".join(f"{key} = {cc[key]:g}" for key in _Q_KEYS + ("r",))
+            named = ", ".join(f"{key} = {getattr(c, key):g}" for key in _Q_KEYS + ("r",))
             why = f"{exc} (best residual {exc.residual:.3g})" if math.isfinite(exc.residual) else exc
             raise ConfigError(f"[controller] the Riccati solver refused {named}: {why}") from None
+
+
+def _check_operating_point(c) -> None:
+    if c.operating_point not in _OPERATING_POINTS:
+        raise ConfigError(f"[controller] operating_point must be 'upright' or "
+                          f"'hanging', got {c.operating_point!r}")
+
+
+def _record(kind: str, keys: dict, build, **namespace):
+    """The frozen record class of one controller kind, named as this module binds it.
+
+    Its fields are ``keys`` (key -> (value kind, default)), typed by value
+    kind. ``build(plant)`` returns its loop designed on ``plant``, and a bad
+    value is a ConfigError naming its ``[controller]`` key.
+    """
+    name = "".join(word.title() for word in kind.split("-")) + "Config"
+    return make_dataclass(name, [(key, value_kind, default)
+                                 for key, (value_kind, default) in keys.items()], frozen=True,
+                          namespace={"kind": kind, "build": build, "__module__": __name__,
+                                     **namespace})
+
+
+def _pid_record(kind: str, topology):
+    """The record of a PID loop builder: each loop's gains and one derivative filter."""
+    loops = {name.removesuffix("_gains"): gains for name, gains in _defaults(topology).items()}
+    return _record(kind, {**_gain_keys(**loops), **_FILTER_KEY},
+                   lambda c, plant: topology(*(_gains(c, loop) for loop in loops)))
+
+
+def _schema(record) -> dict:
+    """Key -> (value kind, default) of a controller record class or instance."""
+    return {f.name: (f.type, f.default) for f in fields(record)}
+
+
+LqrConfig = _record("lqr", {
+    **{key: ("float", float(q)) for key, q in zip(_Q_KEYS, np.diag(LqrWeights().q))},
+    "r": ("float", LqrWeights.r),
+    "operating_point": ("str", "upright"),
+}, _lqr, __post_init__=_check_operating_point)
+PidPositionConfig = _pid_record("pid-position", pid_position_topology)
+PidSimultaneousConfig = _pid_record("pid-simultaneous", pid_simultaneous_topology)
+HybridConfig = _record("hybrid", {
+    **_channel_keys("", PidGains(1.5, 0.0, 1.4), PidGains(1.2, 0.0, 0.3), 12.0),
+    **_ADAPTATION_KEYS,
+    **{name: ("floats", getattr(FuzzySystem, name)) for name in _SHAPE_KEYS},
+    **{f"rule_row{i}": ("ints", row) for i, row in enumerate(FuzzySystem.rule_table)},
+}, lambda c, plant: CascadeLoop(_channel(c, "", c.gamma)))
+# driven at r = 0 the angle channel's models and update stay inert
+HybridSimultaneousConfig = _record("hybrid-simultaneous", {
+    **_channel_keys("angle_", PidGains(5.0, 0.0, 1.0), PidGains(40.0, 0.0, 4.0), 8.0),
+    **_channel_keys("position_", PidGains(3.5, 0.0, 3.0), PidGains(1.5, 0.0, 3.0), 6.0),
+    **_ADAPTATION_KEYS,
+}, lambda c, plant: SimultaneousLoop(_channel(c, "angle_", 0.0),
+                                     _channel(c, "position_", c.gamma)))
+_CONTROLLERS = {record.kind: record for record in (
+    LqrConfig, PidPositionConfig, PidSimultaneousConfig, HybridConfig, HybridSimultaneousConfig)}
 
 
 def build_controller(s: Scenario):
@@ -411,22 +425,7 @@ def build_controller(s: Scenario):
     LQR synthesis always use the nominal plant, and only the simulated
     dynamics drift.
     """
-    cc = s.controller_config
-    kind = s.controller_kind
-    with _config_keys("controller"):
-        if kind == "lqr":
-            return lqr_design(s)
-        if kind == "pid-position":
-            return pid_position_topology(_gains(cc, "position"), _gains(cc, "velocity"))
-        if kind == "pid-simultaneous":
-            return pid_simultaneous_topology(_gains(cc, "angle"), _gains(cc, "position"))
-        if kind == "hybrid":
-            return CascadeLoop(_build_channel(cc))
-        if kind == "hybrid-simultaneous":
-            # driven at r = 0 the angle channel's models and update stay inert
-            return SimultaneousLoop(_build_channel(dict(cc, gamma=0.0), "angle_"),
-                                    _build_channel(cc, "position_"))
-    raise ConfigError(f"[controller] kind: unknown kind {kind!r}")
+    return s.controller.build(s.plant)
 
 
 def run_scenario(s: Scenario) -> Trajectory:

@@ -19,7 +19,7 @@ from cartpend.classic import (
     solve_care,
 )
 from cartpend.plant import PlantParams, State, StateSpace, linearize_at
-from cartpend.scenario import builtin_scenarios, lqr_design
+from cartpend.scenario import build_controller, builtin_scenarios
 
 P = PlantParams()
 
@@ -326,6 +326,20 @@ def test_care_rejects_an_unweighted_mode_on_the_imaginary_axis():
     assert classic._unweighted_axis_mode(a, np.diag([0.0, 0.0, 1e-3, 0.0])) is None
 
 
+@pytest.mark.parametrize("a, q", [
+    ([[0.0, 1e6], [0.0, 0.0]], [1.0, 0.0]),
+    ([[0.0, 1.0], [0.0, 0.0]], [1e-6, 0.0]),
+], ids=["large-a", "small-q"])
+def test_care_scales_each_block_before_the_axis_mode_rank_test(a, q):
+    # the position weight sees the double integrator's modes whatever the
+    # scale of A or of Q against the other block
+    a, q = np.array(a), np.diag(q)
+    assert classic._unweighted_axis_mode(a, q) is None
+    ss = StateSpace(a, np.array([[0.0], [1.0]]), np.eye(2), np.zeros((2, 1)))
+    p = solve_care(ss, LqrWeights(q=q, r=1.0))
+    assert _care_residual(ss, LqrWeights(q=q, r=1.0), p) <= 1e-8
+
+
 def test_care_rejects_unstabilizable_pair():
     # unstable mode not reachable from the input
     ss = _ss([[1.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]])
@@ -397,7 +411,7 @@ def test_lqr_step_equilibrium_offset():
 
 def _builtin_lqr_designs():
     scenarios = builtin_scenarios()
-    return {point: lqr_design(scenarios[name]) for point, name in (
+    return {point: build_controller(scenarios[name]) for point, name in (
         ("hanging", "cart-position-lqr-nominal"), ("upright", "simultaneous-lqr-nominal"))}
 
 

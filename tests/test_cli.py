@@ -667,7 +667,7 @@ def _config_text(sections):
 def _boundary_configs(draw, kinds):
     """A 0.01 s run of one controller kind with 1-3 schema keys set to edge values."""
     kind = draw(st.sampled_from(kinds))
-    tables = {**_KEY_TABLES, "controller": scenario._CONTROLLER_SCHEMAS[kind]}
+    tables = {**_KEY_TABLES, "controller": scenario._schema(scenario._CONTROLLERS[kind])}
     keys = [(section, key) for section, table in tables.items() for key in table]
     sections = {"scenario": {"name": "fuzz"}, "controller": {"kind": kind},
                 "sim": {"duration_s": "0.01"}}
@@ -710,7 +710,7 @@ def _check_verbs(name, text, verbs):
 
 @settings(max_examples=300, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_boundary_configs(sorted(set(scenario._CONTROLLER_SCHEMAS) - {"lqr"})))
+@given(_boundary_configs(sorted(set(scenario._CONTROLLERS) - {"lqr"})))
 def test_edge_values_in_a_config_give_an_exit_code_and_error_lines(text):
     _check_boundary("a.ini", text, ["run"])
 
@@ -763,8 +763,8 @@ def _valid_value(section, key, kind):
 
 @st.composite
 def _valid_scenarios(draw):
-    kind = draw(st.sampled_from(sorted(scenario._CONTROLLER_SCHEMAS)))
-    tables = {**_KEY_TABLES, "controller": scenario._CONTROLLER_SCHEMAS[kind]}
+    kind = draw(st.sampled_from(sorted(scenario._CONTROLLERS)))
+    tables = {**_KEY_TABLES, "controller": scenario._schema(scenario._CONTROLLERS[kind])}
     keys = [(section, key, value_kind) for section, table in tables.items()
             for key, (value_kind, _) in table.items()]
     sections = {"controller": {"kind": kind}}

@@ -1,10 +1,11 @@
 """Scenario config parsing, defaults, round-trip identity, and the built-in matrix."""
-import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +55,10 @@ def test_minimal_lqr_defaults():
     assert s.sim.reference_amplitude == 0.3
     assert s.sim.disturbance.kind == "none"
     assert s.initial_theta_rad == 0.0
-    cc = s.controller_config
-    assert (cc["q_theta"], cc["q_theta_dot"], cc["q_x"], cc["q_x_dot"]) == (1.0, 9.0, 230.0, 180.0)
-    assert cc["r"] == 1.5
-    assert cc["operating_point"] == "upright"
+    c = s.controller
+    assert (c.q_theta, c.q_theta_dot, c.q_x, c.q_x_dot) == (1.0, 9.0, 230.0, 180.0)
+    assert c.r == 1.5
+    assert c.operating_point == "upright"
 
 
 def test_unknown_key_reports_path():
@@ -96,6 +97,14 @@ def test_out_of_range_values_rejected():
         parse_scenario("[controller]\nkind = lqr\n\n[plant]\ncart_mass_kg = -1\n")
     with pytest.raises(ConfigError):
         parse_scenario("[controller]\nkind = lqr\n\n[sim]\ndt_s = 50\nduration_s = 1\n")
+
+
+@pytest.mark.parametrize("key", ["cart_mass_multiplier", "pendulum_length_multiplier"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_a_multiplier_must_be_positive(key, value):
+    with pytest.raises(ConfigError) as e:
+        parse_scenario(f"{MINIMAL}\n[plant]\n{key} = {value}\n")
+    assert str(e.value) == f"[plant] {key} must be positive, got {float(value)!r}"
 
 
 @pytest.mark.parametrize("keys, message", [
@@ -140,6 +149,7 @@ def test_multipliers_only_bite_under_parameter_variation():
      "disturbance: [disturbance] kind = uniform_noise"),
     ("disturbance", "[disturbance]\nkind = none\n", "nominal: [disturbance] kind = none"),
     ("disturbance", "", "nominal: [disturbance] kind = none"),
+    ("disturbance", "[disturbance]\namplitude_N = 0\n", "nominal: [disturbance] amplitude_N = 0.0"),
     ("disturbance", "[plant]\ncart_mass_multiplier = 3\n\n[disturbance]\n",
      "parameter-variation: [plant] cart_mass_multiplier = 3.0"),
     ("parameter-variation", "", "nominal: [plant] cart_mass_multiplier and "
@@ -147,8 +157,8 @@ def test_multipliers_only_bite_under_parameter_variation():
     ("parameter-variation", "[disturbance]\n", "disturbance: [plant] cart_mass_multiplier "
                                                "and pendulum_length_multiplier are 1.0"),
 ], ids=["nominal-cart-multiplier", "nominal-length-multiplier", "nominal-noise",
-        "disturbance-kind-none", "disturbance-no-section", "disturbance-multiplier",
-        "variation-no-multiplier", "variation-noise-only"])
+        "disturbance-kind-none", "disturbance-no-section", "disturbance-zero-amplitude",
+        "disturbance-multiplier", "variation-no-multiplier", "variation-noise-only"])
 def test_a_stated_condition_the_keys_contradict_is_refused(stated, keys, deciding):
     with pytest.raises(ConfigError) as e:
         parse_scenario(f"[scenario]\ncondition = {stated}\n\n{MINIMAL}\n{keys}")
@@ -194,6 +204,16 @@ def test_disturbance_condition_gets_default_noise():
     assert s.sim.disturbance.kind == "uniform_noise"
     assert s.sim.disturbance.amplitude_N == 0.5
     assert s.sim.disturbance.end_s == s.sim.duration_s
+
+
+def test_zero_amplitude_noise_is_nominal_and_runs_as_no_noise(tmp_path):
+    quiet = parse_scenario(MINIMAL + "\n[sim]\nduration_s = 2\n\n[disturbance]\namplitude_N = 0\n")
+    assert quiet.sim.disturbance.kind == "uniform_noise" and quiet.condition == "nominal"
+    assert parse_scenario(serialize_scenario(quiet)) == quiet
+    run_scenario(quiet).write_csv(tmp_path / "quiet.csv")
+    run_scenario(parse_scenario(MINIMAL + "\n[sim]\nduration_s = 2\n")).write_csv(
+        tmp_path / "none.csv")
+    assert (tmp_path / "quiet.csv").read_bytes() == (tmp_path / "none.csv").read_bytes()
 
 
 def test_round_trip_identity_minimal():
@@ -245,8 +265,8 @@ def test_builtin_catalog_shape():
     assert cat["cart-position-lqr-parameter-variation"].cart_mass_multiplier == 1.2
     assert cat["simultaneous-lqr-parameter-variation"].pendulum_length_multiplier == 1.05
     assert cat["simultaneous-lqr-parameter-variation"].cart_mass_multiplier == 1.15
-    assert cat["cart-position-lqr-nominal"].controller_config["operating_point"] == "hanging"
-    assert cat["simultaneous-lqr-nominal"].controller_config["operating_point"] == "upright"
+    assert cat["cart-position-lqr-nominal"].controller.operating_point == "hanging"
+    assert cat["simultaneous-lqr-nominal"].controller.operating_point == "upright"
 
 
 def test_build_controller_all_builtins():
@@ -274,6 +294,24 @@ def test_custom_fuzzy_shape_is_configurable():
     u = ctrl.step(0.5, State(math.pi, 0.0, 0.0, 0.0), 1e-3)
     assert math.isfinite(u)
     assert parse_scenario(serialize_scenario(s)) == s
+
+
+@pytest.mark.parametrize("kind", sorted(scenario._CONTROLLERS))
+def test_a_controller_record_is_its_kind_keys_and_pickles(kind):
+    s = parse_scenario(f"[controller]\nkind = {kind}\n")
+    record = type(s.controller)
+    assert record.kind == s.controller_kind == kind
+    assert getattr(scenario, record.__qualname__) is record  # where pickle looks it up
+    assert pickle.loads(pickle.dumps(s)) == s
+    with pytest.raises(TypeError):  # a key of no kind is refused, not carried along
+        dataclasses.replace(s.controller, angle_kq=1.0)
+
+
+def test_an_lqr_record_refuses_an_unknown_operating_point():
+    with pytest.raises(ConfigError, match=r"^\[controller\] operating_point must be "):
+        parse_scenario(MINIMAL + "operating_point = sideways\n")
+    with pytest.raises(ConfigError, match=r"^\[controller\] operating_point must be "):
+        dataclasses.replace(parse_scenario(MINIMAL).controller, operating_point="sideways")
 
 
 def test_run_scenario_smoke():
@@ -309,7 +347,7 @@ def test_minimal_configs_build_the_library_defaults():
         assert s.plant == PlantParams(), kind
         assert s.sim == SimConfig(), kind
         built = run_closed_loop(s.plant, build_controller(s), short, initial_state=start)
-        lib = run_closed_loop(PlantParams(), make(s.controller_config), short,
+        lib = run_closed_loop(PlantParams(), make(vars(s.controller)), short,
                               initial_state=start)
         assert np.array_equal(built.inputs_N, lib.inputs_N), kind
         assert np.array_equal(built.states, lib.states), kind
@@ -349,29 +387,45 @@ def test_non_finite_pid_gain_is_a_controller_error(key, value):
 
 
 def _readme_config_table() -> dict:
-    """Section -> [(key, parenthesized default text or '')] from README's config table."""
+    """Row name -> [(key, parenthesized default text or '')] from README's config table.
+
+    A section's row is named by the section, and each controller kind's row
+    by ``kind = <kind>``.
+    """
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("## Scenario configs", 1)[1].split("\n## ", 1)[0]
     rows = {}
-    for line in (ln for ln in section.splitlines() if ln.startswith("| `[")):
+    for line in (ln for ln in section.splitlines() if ln.startswith("| `")):
         # a cell may hold an escaped \| between alternatives
         _, name, keys, _ = re.split(r"(?<!\\)\|", line)
         rows[name.strip().strip("`[]")] = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", keys)
     return rows
 
 
-@pytest.mark.parametrize("section", ["scenario", "plant", "sim", "disturbance"])
+def _printed_default(text):
+    """A number, or a tuple for whitespace-separated numbers such as ``-1 -2/3 0``;
+    None for prose."""
+    try:
+        values = tuple(float(Fraction(token)) for token in text.split())
+    except ValueError:
+        return None
+    return values[0] if len(values) == 1 else values or None
+
+
+@pytest.mark.parametrize("section", ["scenario", "plant", "sim", "disturbance",
+                                     *scenario._CONTROLLERS])
 def test_readme_config_table_matches_the_schema(section):
-    schema = getattr(scenario, f"_{section.upper()}_KEYS")
-    row = _readme_config_table()[section]
+    if section in scenario._CONTROLLERS:
+        schema = scenario._schema(scenario._CONTROLLERS[section])
+        row = _readme_config_table()[f"kind = {section}"]
+    else:
+        schema = getattr(scenario, f"_{section.upper()}_KEYS")
+        row = _readme_config_table()[section]
     assert [key for key, _ in row] == list(schema)
-    printed = {}
-    for key, text in row:
-        with contextlib.suppress(ValueError):
-            printed[key] = float(text)
+    printed = {key: _printed_default(text) for key, text in row}
     numeric = {key: default for key, (_, default) in schema.items()
-               if isinstance(default, (int, float))}
-    assert printed == numeric
+               if isinstance(default, (int, float, tuple))}
+    assert {key: v for key, v in printed.items() if v is not None} == numeric
 
 
 def _cart_positions(s, amplitude):

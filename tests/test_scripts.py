@@ -1,4 +1,5 @@
 """The hybrid tuning sweep runs end to end for both studies."""
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from cartpend.scenario import builtin_scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "tune_hybrid.py"
@@ -26,9 +29,11 @@ def test_tune_hybrid_runs_and_names_every_grid_key(study):
         capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     header = done.stdout.splitlines()[0].split()
-    _, grid = _studies()[study]
+    name, grid = _studies()[study]
     assert header[:4] == ["settle_s", "overshoot_pct", "sse", "swing_rad"]
     assert header[4:] == list(grid)
+    record = builtin_scenarios()[name].controller
+    assert set(grid) <= {f.name for f in dataclasses.fields(record)}
 
 
 @pytest.mark.parametrize("args", [

@@ -497,6 +497,14 @@ def test_read_csv_names_the_first_row_whose_time_does_not_increase(times, row, t
         Trajectory.read_csv(path)
 
 
+def test_read_csv_names_the_first_row_with_a_non_finite_value(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = ["0,0,0,1,0,0,1", "0.1,0,0,1,0,0,1", "0.2,0,nan,1,0,0,1", "0.3,0,0,inf,0,0,1"]
+    path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="^trajectory csv data row 3 has a non-finite value$"):
+        Trajectory.read_csv(path)
+
+
 def _columns(traj):
     return np.column_stack((traj.times_s, traj.states, traj.inputs_N, traj.references))
 
@@ -745,6 +753,12 @@ def test_linear_vs_nonlinear_small_step():
         s_lin = rk4_step(f_lin, s_lin, u_lin, dt)
         worst = max(worst, abs(s_nl.x_m - s_lin.x_m))
     assert worst <= 0.02 * r
+
+
+def test_a_duration_inexact_in_floats_is_still_whole_steps():
+    # 12.7 / 0.001 is 12699.999999999998 and 100.1 / 0.001 is 100099.99999999999
+    assert SimConfig(dt_s=0.001, duration_s=12.7).step_count == 12_700
+    assert SimConfig(dt_s=0.001, duration_s=100.1).step_count == 100_100
 
 
 def test_step_count_is_bounded():
