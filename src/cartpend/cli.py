@@ -8,9 +8,9 @@ Verbs:
 
 ``run`` writes one ``<scenario>.csv`` per config plus ``report.txt`` and
 ``report.csv`` into ``--out`` (or ``$CARTPEND_OUT_DIR``, or ``./out``).
-Exit codes: 0 success, 1 a simulation diverged, 2 bad input. Other runs
-still finish after a divergence or a controller setting that cannot be
-built.
+Exit codes: 0 success, 1 a simulation diverged (``run``) or a published
+claim fails (``repro``), 2 bad input. Other runs still finish after a
+divergence or a controller setting that cannot be built.
 """
 from __future__ import annotations
 
@@ -185,8 +185,9 @@ def _cmd_repro(_args) -> int:
     def progress(name):
         print(f"running {name} ...", file=sys.stderr, flush=True)
 
-    print(run_comparison(progress=progress), end="")
-    return 0
+    report, holds = run_comparison(progress=progress)
+    print(report, end="")
+    return 0 if holds else 1
 
 
 def main(argv=None) -> int:

@@ -336,8 +336,12 @@ def _lqr(c, plant: PlantParams) -> LqrController:
     """The LQR designed on ``plant`` linearized at the operating point; it
     measures the state about that point and carries its Riccati solution."""
     q = {key: getattr(c, key) for key in _Q_KEYS}
-    # a q error is about the first non-finite weight, else the smallest one
-    worst = next((key for key, v in q.items() if not math.isfinite(v)), min(q, key=q.get))
+    # a q error is about the first non-finite weight, else the smallest one. With
+    # every weight positive, Q has full rank, and only the spread of the weights
+    # can hide a mode from the scaled rank test, so the largest is named beside it.
+    low, high = min(q, key=q.get), max(q, key=q.get)
+    worst = next((key for key, v in q.items() if not math.isfinite(v)),
+                 low if q[low] <= 0.0 else f"{low} = {q[low]:g} beside {high} = {q[high]:g}")
     theta_e = _OPERATING_POINTS[c.operating_point]
     with _config_keys("controller", q=worst):
         weights = LqrWeights(q=np.diag(list(q.values())), r=c.r)

@@ -1,29 +1,17 @@
 """Numbered acceptance checks, one printed PASS/FAIL line each.
 
-Checks 1, 6a, 6b and 6c compare this implementation against the published
-study, whose numbers live in ``cartpend.repro`` (``PUBLISHED_GAIN`` and the
-cart-study rows of ``_ROWS``). Each line prints the published value next to
-the measured one. Where a published magnitude cannot hold for this plant,
-the check asserts the claim behind it instead:
-
-- 1: the published gain fails Kalman's return-difference inequality
-  |1 + K(jwI - A)^-1 B| >= 1, or leaves the loop unstable, on every
-  candidate linearization, so it is no LQR gain of this plant for any
-  weights. The check passes on an entrywise 2% match or on that proof,
-  and always requires |K_x| = sqrt(q_x / r) = 12.3828 (the one entry the
-  weights force), stable loops satisfying the inequality for every
-  synthesized gain, and synthesis under 1 s.
-- 6a: nominal cart settling follows the published ordering
-  (hybrid < LQR < PID), with the hybrid/PID ratio in a band around 54%.
-- 6b: PID, hybrid and LQR all hold |sse| <= 1e-3 under disturbance. The
-  published 3 cm LQR offset is not asserted: ``lqr_synthesize`` scales the
-  reference for unit DC gain, and at equilibrium x = N r / K_x, so N = K_x
-  leaves no offset for any gain or cart mass.
-- 6c: hybrid settling moves by at most 10% under +20% cart mass and stays
-  ahead of LQR, as published. The published 9x LQR slowdown is not
-  asserted: the equilibrium of u = N r - K x does not depend on cart mass.
-
-README.md discusses each divergence.
+Checks 1 and 6a-6d compare this implementation against the published study,
+whose numbers live in ``cartpend.repro``. Checks 6a-6d are the rows of
+``repro.CLAIMS``, judged on the session's runs as ``cartpend repro`` judges
+them, and each test pins its row's bound. The published gain of check 1 cannot
+hold for this plant, so the check asserts the claim behind it: the gain fails
+Kalman's return-difference inequality |1 + K(jwI - A)^-1 B| >= 1, or leaves
+the loop unstable, on every candidate linearization, so it is no LQR gain of
+this plant for any weights. The check passes on an entrywise 2% match or on
+that proof, and always requires |K_x| = sqrt(q_x / r) = 12.3828 (the one entry
+the weights force), stable loops satisfying the inequality for every
+synthesized gain, and synthesis under 1 s. README.md discusses each
+divergence.
 """
 import math
 import time
@@ -47,31 +35,11 @@ from cartpend.sim import make_derivative, rk4_step
 P = PlantParams()
 
 PUBLISHED_GAIN = np.array(repro.PUBLISHED_GAIN)
-RATIO_BAND = (0.39, 0.69)  # hybrid/pid settling, centered on the reported 54%
-CART_KINDS = ("pid", "lqr", "hybrid")
-
-
-def _published(scenario, metric):
-    return next(v for name, m, _, v in repro._ROWS if name == scenario and m == metric)
-
-
-def _order(values):
-    """Kinds sorted from smallest to largest value, e.g. 'hybrid<lqr<pid'."""
-    return "<".join(sorted(values, key=values.get))
-
 
 def _report(num, ok, detail):
     line = f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}"
     print(line)
     assert ok, line
-
-
-def _settle(traj):
-    return score_trajectory(traj).settling_time_s
-
-
-def _sse(traj):
-    return score_trajectory(traj).steady_state_error
 
 
 # ---------------- 1: published gain reproduction ----------------
@@ -319,72 +287,27 @@ def test_criterion_5_fuzzy_engine():
 
 # ---------------- 6: comparative scenario matrix ----------------
 
+def _claim(runs, claim_id):
+    """Report one row of ``repro.CLAIMS`` judged on the session's runs; return the row."""
+    claim = repro.CLAIMS[claim_id]
+    _report(claim_id, *claim.verdict(lambda name: repro.observe(runs(name)[0])))
+    return claim
+
+
 def test_criterion_6a_nominal_cart_settling_order(runs):
-    settle = {k: _settle(runs(f"cart-position-{k}-nominal")[0]) for k in CART_KINDS}
-    published = {k: _published(f"cart-position-{k}-nominal", "settling") for k in CART_KINDS}
-    ratio = settle["hybrid"] / settle["pid"]
-    leg_order = _order(settle) == _order(published)
-    leg_ratio = RATIO_BAND[0] <= ratio <= RATIO_BAND[1]
-    ok = leg_order and leg_ratio
-    _report("6a", ok, (
-        "settling " + ", ".join(
-            f"{k}={settle[k]:.2f}s (published {published[k]:.2f}s)" for k in CART_KINDS)
-        + f"; order {_order(settle)} matches published {_order(published)} {leg_order}, "
-        f"hybrid/pid={ratio:.3f} in [{RATIO_BAND[0]}, {RATIO_BAND[1]}] {leg_ratio}"
-    ))
+    assert _claim(runs, "6a").bound == (0.39, 0.69)  # hybrid/pid around the published 54%
 
 
 def test_criterion_6b_disturbance_steady_state_error(runs):
-    sse = {k: _sse(runs(f"cart-position-{k}-disturbance")[0]) for k in CART_KINDS}
-    published = {k: _published(f"cart-position-{k}-nominal", "sse") for k in CART_KINDS}
-    legs = {k: abs(sse[k]) <= 1e-3 for k in CART_KINDS}
-    ok = all(legs.values())
-    _report("6b", ok, (
-        "disturbed sse " + ", ".join(
-            f"{k}={sse[k]:.2e} (<=1e-3 {legs[k]}; published nominal {published[k]:.4f})"
-            for k in CART_KINDS)
-        + "; lqr_synthesize scales the reference for unit DC gain, so the published "
-        "lqr offset is not asserted"
-    ))
+    assert _claim(runs, "6b").bound == 1e-3
 
 
 def test_criterion_6c_parameter_variation_degrades_lqr_most(runs):
-    nominal = {k: _settle(runs(f"cart-position-{k}-nominal")[0]) for k in CART_KINDS}
-    varied = {k: _settle(runs(f"cart-position-{k}-parameter-variation")[0]) for k in CART_KINDS}
-    published = {k: _published(f"cart-position-{k}-parameter-variation", "settling")
-                 for k in CART_KINDS}
-    ranked = [k for k in CART_KINDS if published[k] is not None]
-    ratios = {k: varied[k] / nominal[k] for k in CART_KINDS}
-    leg_h = ratios["hybrid"] <= 1.1
-    measured_order = _order({k: varied[k] for k in ranked})
-    published_order = _order({k: published[k] for k in ranked})
-    leg_order = measured_order == published_order
-    ok = leg_h and leg_order
-    _report("6c", ok, (
-        f"settling ratio var/nominal: pid={ratios['pid']:.3f}, lqr={ratios['lqr']:.3f} "
-        f"(published {published['lqr'] / _published('cart-position-lqr-nominal', 'settling'):.2f}), "
-        f"hybrid={ratios['hybrid']:.3f}; hybrid within 10% {leg_h}; varied settling "
-        + ", ".join(f"{k}={varied[k]:.2f}s (published {published[k]:.2f}s)" for k in ranked)
-        + f", order {measured_order} matches published {published_order} {leg_order}"
-    ))
+    assert _claim(runs, "6c").bound == 1.1
 
 
 def test_criterion_6d_simultaneous_stabilize_and_track(runs):
-    settles = {}
-    ok = True
-    notes = []
-    for kind in ("pid", "lqr", "hybrid"):
-        traj = runs(f"simultaneous-{kind}-nominal")[0]
-        s = _settle(traj)
-        settles[kind] = s
-        x_end = traj.states[-1, 2]
-        th_end = traj.states[-1, 0]
-        good = math.isfinite(s) and abs(x_end - 0.3) <= 0.01 and abs(th_end) <= 0.01
-        ok = ok and good
-        notes.append(f"{kind}: settle={s:.2f}s x={x_end:.3f} theta={th_end:.1e}")
-    fastest = min(settles, key=settles.get)
-    ok = ok and fastest == "hybrid"
-    _report("6d", ok, "; ".join(notes) + f"; fastest={fastest}")
+    assert _claim(runs, "6d").bound == (0.3, 0.01, 0.01)
 
 
 # ---------------- 7: metric closed forms ----------------

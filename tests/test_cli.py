@@ -1,5 +1,6 @@
 """Command line interface: verbs, exit codes, output layout, reproducibility."""
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -536,6 +537,21 @@ def test_lqr_gain_position_weight_range(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"error: {zero}: [controller] q_x "), lines
 
 
+@pytest.mark.parametrize("weight, named", [
+    # every weight positive: Q has full rank, and only the spread hides the
+    # cart's integrator mode, so the smallest weight is named beside the largest
+    ("q_theta = 1e308", "q_theta_dot = 9 beside q_theta = 1e+308"),
+    ("q_x_dot = 1e308", "q_theta = 1 beside q_x_dot = 1e+308"),
+    ("q_x = 0", "q_x"),
+])
+def test_lqr_gain_names_the_weights_that_hide_a_mode(tmp_path, capsys, weight, named):
+    cfg = _write(tmp_path, "a.ini", SHORT_LQR.replace("kind = lqr", f"kind = lqr\n{weight}"))
+    assert main(["lqr-gain", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg}: [controller] {named} leaves the mode of A at eigenvalue 0+0j "
+        "unweighted; no stabilizing solution exists"]
+
+
 def test_lqr_gain_solves_the_riccati_equation_once(tmp_path, capsys, monkeypatch):
     import cartpend.classic
     import cartpend.cli
@@ -636,11 +652,37 @@ def test_repro_prints_the_readme_comparison(capsys, monkeypatch, runs):
     monkeypatch.setattr(cartpend.repro, "run_scenario", lambda s: runs(s.name)[0])
     assert main(["repro"]) == 0
     captured = capsys.readouterr()
-    table = _readme_block("`cartpend repro` output on this machine:").splitlines()
-    assert len(table) == 15
-    assert captured.out.splitlines()[:15] == table
-    names = dict.fromkeys(name for name, *_ in cartpend.repro._ROWS)
+    assert captured.out == _readme_block("`cartpend repro` output on this machine:")
+    kinds = ("pid", "lqr", "hybrid")
+    names = ([f"cart-position-{k}-{c}" for c in ("nominal", "parameter-variation") for k in kinds]
+             + [f"simultaneous-{k}-nominal" for k in kinds]
+             + [f"cart-position-{k}-disturbance" for k in kinds])
     assert captured.err.splitlines() == [f"running {name} ..." for name in names]
+
+
+@pytest.mark.parametrize("name, start_s, offset_m, failing, ratio", [
+    ("cart-position-lqr-disturbance", 0.0, 2e-3, "6b", "43.7196"),  # |sse| = 2e-3
+    ("cart-position-pid-nominal", 0.5, 0.0, "6a", "664.8000"),  # pid settles first
+])
+def test_repro_exits_1_when_a_claim_fails(capsys, monkeypatch, runs, name, start_s, offset_m,
+                                          failing, ratio):
+    import cartpend.repro
+
+    def run(s):
+        traj = runs(s.name)[0]
+        if s.name != name:
+            return traj
+        # from start_s on, the cart sits offset_m from its reference
+        states, late = traj.states.copy(), traj.times_s >= start_s
+        states[late, 2] = traj.references[late] + offset_m
+        return dataclasses.replace(traj, states=states)
+
+    monkeypatch.setattr(cartpend.repro, "run_scenario", run)
+    assert main(["repro"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[14].endswith(f" {ratio}")  # the hybrid/pid settling ratio row
+    assert [line.split(":")[0] for line in out if line.startswith("claim ")] == [
+        f"claim {i} {'FAIL' if i == failing else 'PASS'}" for i in ("6a", "6b", "6c", "6d")]
 
 
 def test_readme_library_example_runs(capsys):
